@@ -9,6 +9,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from math import lcm
+from operator import mul
 from typing import Optional
 
 from . import matrixops as mo
@@ -27,8 +30,18 @@ def _check_coords(rank: int, v: Vector, what: str) -> Vector:
     return tuple(Fraction(x) for x in v)
 
 
+def clear_denominators(v: Vector) -> tuple[tuple[int, ...], int]:
+    """(d * v, d) for the least d > 0 that makes d * v integral."""
+    d = lcm(*(x.denominator for x in v))
+    return tuple(x.numerator * (d // x.denominator) for x in v), d
+
+
 def _form(sub: Sublattice, v: Vector, w: Vector) -> Fraction:
-    return mo.dot(v, mo.mat_vec(sub.gram(), w))
+    """v^T G w: evaluated over int, one Fraction at the end."""
+    nv, dv = clear_denominators(v)
+    nw, dw = clear_denominators(w)
+    total = sum(x * sum(map(mul, row, nw)) for x, row in zip(nv, sub.gram()) if x)
+    return Fraction(total, dv * dw)
 
 
 @dataclass(frozen=True)
@@ -66,16 +79,19 @@ class PeriodVector:
         object.__setattr__(self, "re", _check_coords(self.lattice.rank, self.re, "re"))
         object.__setattr__(self, "im", _check_coords(self.lattice.rank, self.im, "im"))
 
+    @cached_property
+    def _quadrics(self) -> tuple[Fraction, Fraction, Fraction]:
+        """(re.re, im.im, re.im), computed once."""
+        return (_form(self.lattice, self.re, self.re), _form(self.lattice, self.im, self.im),
+                _form(self.lattice, self.re, self.im))
+
     def omega_dot_omega(self) -> tuple[Fraction, Fraction]:
         """Omega.Omega as (real, imaginary) parts."""
-        rr = _form(self.lattice, self.re, self.re)
-        ii = _form(self.lattice, self.im, self.im)
-        ri = _form(self.lattice, self.re, self.im)
+        rr, ii, ri = self._quadrics
         return rr - ii, 2 * ri
 
     def omega_dot_conjugate(self) -> Fraction:
-        rr = _form(self.lattice, self.re, self.re)
-        ii = _form(self.lattice, self.im, self.im)
+        rr, ii, _ = self._quadrics
         return rr + ii
 
 
@@ -99,30 +115,23 @@ def in_delta(om: PeriodVector) -> tuple[bool, Optional[Vector]]:
     if all(x == 0 for x in om.re) and all(x == 0 for x in om.im):
         raise K3BVError("the zero vector is not a period")
     gram = om.lattice.gram()
-    rows = []
-    for vec in (om.re, om.im):
-        row = mo.mat_vec(gram, vec)
-        denom = 1
-        for x in row:
-            denom = denom * Fraction(x).denominator // _gcd(denom, Fraction(x).denominator)
-        rows.append(tuple(int(Fraction(x) * denom) for x in row))
-    kernel = mo.integer_kernel(tuple(rows))
+    rows = tuple(clear_denominators(mo.mat_vec(gram, vec))[0] for vec in (om.re, om.im))
+    kernel = mo.integer_kernel(rows)
     if kernel:
         return True, kernel[0]
     return False, None
 
 
-def _gcd(a: int, b: int) -> int:
-    from math import gcd
-    return gcd(a, b)
-
-
 def in_primed(point, split: MirrorSplit) -> bool:
     """Membership in T'_M (tube points: B.omega = 0) or D'_M (period
-    vectors: Im Omega in the rational span of M-check)."""
+    vectors: Im Omega in the rational span of M-check).
+
+    Since T = ZE + ZE' + M-check, Im Omega lies in Q M-check exactly when
+    its E and E' coordinates vanish, i.e. when Im Omega.E' = Im Omega.E = 0.
+    """
     if isinstance(point, TubePoint):
         return point.b_dot_omega() == 0
     if isinstance(point, PeriodVector):
-        basis = split.m_check.basis
-        return mo.solve_rational(mo.transpose(basis), point.im) is not None
+        a, b = split.split_coordinates(clear_denominators(point.im)[0])[:2]
+        return a == b == 0
     raise K3BVError(f"expected TubePoint or PeriodVector, got {type(point).__name__}")

@@ -10,12 +10,14 @@ form div(E) * Z.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
+from operator import mul
 
 from . import matrixops as mo
 from .errors import AdmissibilityError, SplittingError
-from .lattice import (IntegerLattice, Sublattice, divisibility, is_primitive,
-                      pairing, saturation)
+from .lattice import (IntegerLattice, Sublattice, det_and_signature, divisibility,
+                      is_primitive, pairing, saturation)
 from .matrixops import Matrix, Vector
 
 __all__ = ["AdmissiblePair", "MirrorSplit", "find_isotropic",
@@ -53,16 +55,36 @@ class MirrorSplit:
     def m(self) -> int:
         return self.pair.m
 
+    @cached_property
+    def _inverse_columns(self) -> Matrix:
+        """Columns of the inverse of the basis (E, E', M-check) of T.
+
+        construct_mirror certified the split to have index one, so this
+        basis is unimodular and its inverse is integral. Computed on first
+        use, so building a split does not pay for it.
+        """
+        basis = (self.pair.e, self.pair.e_prime) + self.m_check.basis
+        return mo.transpose(mo.integer_inverse(basis))
+
+    def split_coordinates(self, v: Vector) -> tuple[int, ...]:
+        """(a, b, c_1, ..., c_r) with v = aE + bE' + sum c_i M_i, for an
+        integer vector v in T coordinates."""
+        return tuple(sum(map(mul, v, col)) for col in self._inverse_columns)
+
 
 def find_isotropic(t: Sublattice, height: int = 3) -> list[Vector]:
     """Primitive isotropic vectors of T with coefficients in [-height, height].
 
     Deduplicated up to sign: the representative has its first nonzero
     coordinate positive. Candidate generator only; admissibility still
-    has to be checked separately.
+    has to be checked separately. A definite nondegenerate T has no
+    nonzero isotropic vector, so it returns [] without searching.
     """
     if height < 1:
         raise AdmissibilityError(f"height must be >= 1, got {height}")
+    _, (pos, neg, zero) = det_and_signature(t.induced_lattice())
+    if zero == 0 and (pos == 0 or neg == 0):
+        return []
     gram = t.gram()
     n = t.rank
     found = []

@@ -14,10 +14,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from . import matrixops as mo
 from .cnum import QC
-from .domains import PeriodVector, TubePoint, in_period_domain, in_tube
+from .domains import (PeriodVector, TubePoint, clear_denominators, in_period_domain,
+                      in_tube)
 from .errors import K3BVError, NormalizationError
 from .matrixops import Vector
 from .mirror import MirrorSplit
@@ -48,17 +50,24 @@ def phi(split: MirrorSplit, p: TubePoint) -> PeriodVector:
     if not in_tube(p):
         raise K3BVError("point is not in the tube domain: omega.omega <= 0")
     m = split.m
-    e = tuple(Fraction(x) for x in split.pair.e)
-    ep = tuple(Fraction(x) for x in split.pair.e_prime)
-    # Coordinates of B and omega inside T.
-    b_t = tuple(Fraction(x) for x in mo.vec_mat(p.b, split.m_check.basis))
-    w_t = tuple(Fraction(x) for x in mo.vec_mat(p.omega, split.m_check.basis))
+    e, ep = split.pair.e, split.pair.e_prime
+    # Coordinates of B and omega inside T, over int: B = nb / db.
+    nb, db = clear_denominators(p.b)
+    nw, dw = clear_denominators(p.omega)
+    b_t = mo.vec_mat(nb, split.m_check.basis)
+    w_t = mo.vec_mat(nw, split.m_check.basis)
     w_sq = p.omega_sq()
     b_sq = p.b_sq()
     wb = p.b_dot_omega()
-    re = mo.add_vec(mo.add_vec(b_t, mo.scale_vec(Fraction(1, m), ep)),
-                    mo.scale_vec((w_sq - b_sq) / 2, e))
-    im = mo.sub_vec(w_t, mo.scale_vec(wb, e))
+    # re = b_t / db + E' / m + q E and im = w_t / dw - wb E, each over
+    # one common denominator d.
+    q = (w_sq - b_sq) / 2
+    d = lcm(db, m, q.denominator)
+    cb, cep, ce = d // db, d // m, q.numerator * (d // q.denominator)
+    re = tuple(Fraction(cb * x + cep * y + ce * z, d) for x, y, z in zip(b_t, ep, e))
+    d = lcm(dw, wb.denominator)
+    cw, ce = d // dw, wb.numerator * (d // wb.denominator)
+    im = tuple(Fraction(cw * x - ce * z, d) for x, z in zip(w_t, e))
     return PeriodVector(split.t, re, im)
 
 
@@ -70,28 +79,27 @@ def phi_inverse(split: MirrorSplit, om: PeriodVector) -> TubePoint:
     """
     if om.lattice != split.t:
         raise K3BVError("period vector must live over the T of the split")
-    gram = split.t.gram()
-    e = split.pair.e
-    ge = mo.mat_vec(gram, e)
-    c = QC(mo.dot(om.re, ge), mo.dot(om.im, ge))
-    if c.is_zero():
+    # Omega = (x + i y) / d in the basis (E, E', M-check) of T; the common
+    # denominator d cancels in the normalization below.
+    num, _ = clear_denominators(om.re + om.im)
+    rank = split.t.rank
+    x = split.split_coordinates(num[:rank])
+    y = split.split_coordinates(num[rank:])
+    # E.E = 0, E'.E = m and M-check is orthogonal to E, so
+    # Omega.E = m (a + i b) / d with a + i b the E' coordinate.
+    a, b = x[1], y[1]
+    if a == 0 and b == 0:
         raise NormalizationError(
             "Omega.E = 0: the period cannot be normalized, Omega is not in D_M")
     if not in_period_domain(om):
         raise K3BVError("vector does not satisfy the period-domain conditions")
-    one = QC(1)
-    scale = one / c
-    norm = [QC(r, i) * scale for r, i in zip(om.re, om.im)]
-    # Exact decomposition T (x) Q = P (x) Q + M-check (x) Q.
-    basis = (split.pair.e, split.pair.e_prime) + split.m_check.basis
-    bt = mo.transpose(basis)
-    re_coords = mo.solve_rational(bt, tuple(z.re for z in norm))
-    im_coords = mo.solve_rational(bt, tuple(z.im for z in norm))
-    if re_coords is None or im_coords is None:
-        raise NormalizationError("period does not lie in the span of P + M-check")
-    b = tuple(re_coords[2:])
-    w = tuple(im_coords[2:])
-    return TubePoint(split.m_check, b, w)
+    # Omega / (Omega.E) = (x + i y)(a - i b) / (m (a^2 + b^2)); keep the
+    # M-check coordinates.
+    den = split.m * (a * a + b * b)
+    pairs = tuple(zip(x[2:], y[2:]))
+    return TubePoint(split.m_check,
+                     tuple(Fraction(xk * a + yk * b, den) for xk, yk in pairs),
+                     tuple(Fraction(yk * a - xk * b, den) for xk, yk in pairs))
 
 
 def elliptic_phi(b, omega) -> EllipticPeriod:

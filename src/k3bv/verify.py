@@ -21,6 +21,7 @@ from .census import (BasePoint, FiberCensus, FiberRecord, KodairaType,
                      validate_census)
 from .cnum import QC
 from .domains import TubePoint, in_primed, in_tube
+from .errors import K3BVError
 from .involution import (LatticeInvolution, RealFiberType, SymplecticSpace,
                          transpose_defect)
 from .involution import invariant_sublattices, mirror_involution
@@ -369,4 +370,6 @@ def run_all() -> list[CriterionResult]:
             results.append(CriterionResult(number, name, True, detail))
         except AssertionError as exc:
             results.append(CriterionResult(number, name, False, str(exc) or "assertion failed"))
+        except K3BVError as exc:
+            results.append(CriterionResult(number, name, False, f"{type(exc).__name__}: {exc}"))
     return results

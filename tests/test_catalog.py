@@ -77,3 +77,23 @@ def test_lattice_by_name_rejects_unknown():
         lattice_by_name("Leech")
     with pytest.raises(K3BVError):
         lattice_by_name("U:x")
+
+
+def _readme_catalog_names():
+    """Backquoted names in the README sentence that lists catalog names;
+    the pattern `U:m` stands for U:1 .. U:3."""
+    import re
+    from pathlib import Path
+    text = " ".join((Path(__file__).resolve().parents[1] / "README.md").read_text().split())
+    sentence = re.search(r"a catalog name \(([^)]*\))", text).group(1)
+    names = []
+    for name in re.findall(r"`([^`]+)`", sentence):
+        names += [f"U:{m}" for m in (1, 2, 3)] if name == "U:m" else [name]
+    return names
+
+
+def test_readme_catalog_names_resolve():
+    names = _readme_catalog_names()
+    assert {"K3", "E8-", "U"} <= set(names)
+    for name in names:
+        lattice_by_name(name)

@@ -3,9 +3,14 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from k3bv import (K3BVError, PeriodVector, Sublattice, TubePoint, in_delta,
-                  in_period_domain, in_primed, in_tube, pairing, phi)
+from k3bv import (IntegerLattice, K3BVError, PeriodVector, Sublattice, TubePoint,
+                  check_admissible, construct_mirror, in_delta, in_period_domain,
+                  in_primed, in_tube, pairing, phi)
+from k3bv import matrixops as mo
+from k3bv.domains import _form, clear_denominators
 
 
 @pytest.fixture
@@ -95,3 +100,53 @@ def test_phi_lands_in_period_domain(uu_split):
                      ((Fraction(1, 2), Fraction(-1, 3)), (1, 2))):
         p = TubePoint(uu_split.m_check, b, omega)
         assert in_period_domain(phi(uu_split, p))
+
+
+# --- integer forms against the Fraction reference -----------------------------
+
+rationals = st.fractions(min_value=-20, max_value=20, max_denominator=12)
+
+
+@st.composite
+def lattice_and_vectors(draw, count):
+    """A random symmetric integer Gram (rank 0..6) and rational vectors."""
+    n = draw(st.integers(0, 6))
+    entries = {(i, j): draw(st.integers(-9, 9)) for i in range(n) for j in range(i, n)}
+    gram = tuple(tuple(entries[min(i, j), max(i, j)] for j in range(n)) for i in range(n))
+    vectors = [tuple(draw(st.lists(rationals, min_size=n, max_size=n))) for _ in range(count)]
+    return (Sublattice.full(IntegerLattice(gram)),) + tuple(vectors)
+
+
+def _reference(sub, v, w):
+    return mo.dot(v, mo.mat_vec(sub.gram(), w))
+
+
+@settings(max_examples=100, deadline=None)
+@given(lattice_and_vectors(2))
+def test_form_matches_fraction_reference(case):
+    sub, v, w = case
+    assert _form(sub, v, w) == _reference(sub, v, w)
+    assert _form(sub, v, tuple(0 for _ in v)) == 0
+
+
+@settings(max_examples=100, deadline=None)
+@given(lattice_and_vectors(2))
+def test_period_quadrics_match_fraction_reference(case):
+    sub, re, im = case
+    om = PeriodVector(sub, re, im)
+    rr, ii, ri = (_reference(sub, re, re), _reference(sub, im, im), _reference(sub, re, im))
+    assert om.omega_dot_omega() == (rr - ii, 2 * ri)
+    assert om.omega_dot_conjugate() == rr + ii
+
+
+def test_clear_denominators():
+    assert clear_denominators((Fraction(1, 2), Fraction(-2, 3), 4)) == ((3, -4, 24), 6)
+    assert clear_denominators((0, 0)) == ((0, 0), 1)
+    assert clear_denominators(()) == ((), 1)
+
+
+def test_form_on_rank_zero_m_check(U):
+    split = construct_mirror(check_admissible(Sublattice.full(U), (1, 0), (0, 1), 1))
+    assert split.m_check.rank == 0
+    assert _form(split.m_check, (), ()) == 0
+    assert TubePoint(split.m_check, (), ()).omega_sq() == 0

@@ -20,6 +20,18 @@ class TestFindIsotropic:
     def test_definite_lattice_empty(self):
         assert find_isotropic(Sublattice.full(e8_minus()), height=2) == []
 
+    def test_semidefinite_lattice_is_searched(self):
+        # Gram diag(2, 0) has no negative direction, but e2 spans its radical.
+        lat = IntegerLattice(((2, 0), (0, 0)))
+        assert find_isotropic(Sublattice.full(lat), height=2) == [(0, 1)]
+
+    def test_negative_semidefinite_sublattice_is_searched(self):
+        # Inside E8(-1) + U, span(root, e) is degenerate with radical e.
+        lat = direct_sum(e8_minus(), hyperbolic_plane(1))
+        root = tuple(int(i == 0) for i in range(10))
+        e = tuple(int(i == 8) for i in range(10))
+        assert find_isotropic(Sublattice(lat, (root, e)), height=1) == [(0, 1)]
+
     def test_rank_two_indefinite_diagonal(self):
         lat = IntegerLattice(((2, 0), (0, -2)))
         found = find_isotropic(Sublattice.full(lat), height=1)

@@ -3,10 +3,14 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 from k3bv import (K3BVError, NormalizationError, PeriodVector, QC, Sublattice,
-                  TubePoint, check_admissible, construct_mirror, direct_sum,
-                  elliptic_phi, hyperbolic_plane, phi, phi_inverse)
+                  TubePoint, check_admissible, construct_mirror, coordinates_in,
+                  direct_sum, elliptic_phi, hyperbolic_plane, in_primed, in_tube,
+                  k3_lattice, orthogonal_complement, phi, phi_inverse)
+from k3bv import matrixops as mo
 
 
 @pytest.fixture(scope="module")
@@ -95,3 +99,103 @@ class TestEllipticPhi:
             elliptic_phi(0, 0)
         with pytest.raises(K3BVError):
             elliptic_phi(1, -2)
+
+
+# --- splits whose bases are not coordinate-aligned ---------------------------
+
+def _reflect(gram, r, x):
+    """s_r(x) = x + (x.r) r, an isometry when r.r = -2."""
+    c = mo.dot(x, mo.mat_vec(gram, r))
+    return mo.add_vec(x, mo.scale_vec(c, r))
+
+
+def _skewed_k3_split():
+    """The K3 catalog split moved by a product of reflections in -2 vectors
+    that mix the U blocks with both E8 blocks; m = 1, rank-18 M-check."""
+    lat = k3_lattice()
+    n = lat.rank
+    unit = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    roots = [mo.add_vec(unit[0], unit[6]), mo.add_vec(unit[3], unit[15]),
+             mo.add_vec(mo.add_vec(unit[5], unit[9]), unit[2]),
+             mo.sub_vec(unit[4], unit[5]), mo.add_vec(unit[1], unit[20])]
+
+    def g(x):
+        for r in roots:
+            x = _reflect(lat.gram, r, x)
+        return x
+
+    t = orthogonal_complement(Sublattice(lat, (g(unit[0]), g(unit[1]))))
+    e = coordinates_in(t, g(unit[2]))
+    ep = coordinates_in(t, g(unit[3]))
+    split = construct_mirror(check_admissible(t, e, ep, 1))
+    positive = coordinates_in(split.m_check,
+                              coordinates_in(t, g(mo.add_vec(unit[4], unit[5]))))
+    return split, positive
+
+
+def _skewed_u2_split():
+    """T = U(2) + U in a unimodular basis that mixes all four coordinates;
+    m = 2, rank-2 M-check."""
+    lat = direct_sum(hyperbolic_plane(2), hyperbolic_plane(1))
+    t = Sublattice(lat, ((1, 2, 0, 1), (0, 1, 1, 0), (1, 2, 1, 4), (0, 1, 1, 1)))
+    e = coordinates_in(t, (1, 0, 0, 0))
+    ep = coordinates_in(t, (0, 1, 0, 0))
+    split = construct_mirror(check_admissible(t, e, ep, 2))
+    positive = coordinates_in(split.m_check, coordinates_in(t, (0, 0, 1, 1)))
+    return split, positive
+
+
+@pytest.fixture(scope="module", params=["k3", "u2"])
+def skewed(request):
+    return {"k3": _skewed_k3_split, "u2": _skewed_u2_split}[request.param]()
+
+
+def test_skewed_splits_are_not_coordinate_aligned(skewed):
+    split, _ = skewed
+    assert any(sum(map(abs, row)) > 1 for row in split.m_check.basis)
+    assert sum(map(abs, split.pair.e)) > 1
+
+
+def test_split_coordinates_invert_the_split_basis(skewed):
+    split, _ = skewed
+    basis = (split.pair.e, split.pair.e_prime) + split.m_check.basis
+    n = len(basis)
+    assert tuple(split.split_coordinates(v) for v in basis) == mo.identity(n)
+    coords = tuple(split.split_coordinates(v) for v in mo.identity(n))
+    assert mo.mat_mul(coords, basis) == mo.identity(n)
+
+
+rationals = st.fractions(min_value=-6, max_value=6, max_denominator=6)
+
+
+@st.composite
+def tube_points(draw, split, positive):
+    """omega = lam * positive + a sparse +-1 perturbation, B free or made
+    orthogonal to omega; drawn until omega.omega > 0."""
+    rank = split.m_check.rank
+    lam = draw(st.integers(2, 4))
+    omega = list(mo.scale_vec(lam, positive))
+    for i, sign in draw(st.lists(st.tuples(st.integers(0, rank - 1), st.sampled_from((-1, 1))),
+                                 max_size=2)):
+        omega[i] += sign
+    b = tuple(draw(st.lists(rationals, min_size=rank, max_size=rank)))
+    p = TubePoint(split.m_check, b, omega)
+    assume(in_tube(p))
+    if draw(st.booleans()):
+        p = TubePoint(split.m_check,
+                      mo.sub_vec(p.b, mo.scale_vec(p.b_dot_omega() / p.omega_sq(), p.omega)),
+                      omega)
+    return p
+
+
+@settings(max_examples=25, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_round_trip_and_primed_on_skewed_splits(skewed, data):
+    split, positive = skewed
+    p = data.draw(tube_points(split, positive))
+    om = phi(split, p)
+    assert om.omega_dot_omega() == (0, 0)
+    assert om.omega_dot_conjugate() == 2 * p.omega_sq()
+    assert phi_inverse(split, om) == p
+    assert in_primed(p, split) == in_primed(om, split) == (p.b_dot_omega() == 0)
