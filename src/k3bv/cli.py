@@ -16,7 +16,7 @@ from .census import census_slack, dualize_census, total_euler, validate_census
 from .domains import TubePoint, PeriodVector
 from .errors import K3BVError
 from .hyperkahler import rotation_table
-from .jsonio import (census_from_json, census_to_json, dumps,
+from .jsonio import (census_from_json, census_to_json, dumps, int_from_json,
                      lattice_from_json, load_json_arg, parse_coords,
                      rational_to_str, sublattice_from_json, sublattice_to_json)
 from .lattice import Sublattice, det_and_signature, direct_sum
@@ -51,9 +51,9 @@ def _split_from_json(obj) -> MirrorSplit:
         raise K3BVError("split JSON must be an object")
     try:
         t = sublattice_from_json(obj["t"])
-        e = tuple(int(x) for x in obj["e"])
-        ep = tuple(int(x) for x in obj["eprime"])
-        m = int(obj["m"])
+        e = tuple(int_from_json(x) for x in obj["e"])
+        ep = tuple(int_from_json(x) for x in obj["eprime"])
+        m = int_from_json(obj["m"])
     except (KeyError, TypeError, ValueError) as exc:
         raise K3BVError(f"bad split JSON: {exc}") from None
     return construct_mirror(check_admissible(t, e, ep, m))
@@ -68,8 +68,8 @@ def _cmd_lattice_info(args) -> dict:
 
 def _cmd_mirror_construct(args) -> dict:
     t = sublattice_from_json(load_json_arg(args.lattice))
-    pair = check_admissible(t, tuple(int(x) for x in parse_coords(args.e)),
-                            tuple(int(x) for x in parse_coords(args.eprime)), args.m)
+    pair = check_admissible(t, tuple(map(int_from_json, parse_coords(args.e))),
+                            tuple(map(int_from_json, parse_coords(args.eprime))), args.m)
     return _split_to_json(construct_mirror(pair))
 
 

@@ -19,7 +19,7 @@ from .involution import LatticeInvolution, RealFiberType
 from .lattice import IntegerLattice, Sublattice
 
 __all__ = [
-    "rational_to_str", "rational_from_str", "parse_coords",
+    "rational_to_str", "rational_from_str", "int_from_json", "parse_coords",
     "lattice_to_json", "lattice_from_json",
     "sublattice_to_json", "sublattice_from_json",
     "involution_from_json", "census_to_json", "census_from_json",
@@ -43,6 +43,24 @@ def rational_from_str(s) -> Fraction:
         raise K3BVError(f"cannot parse rational {s!r}") from None
 
 
+def int_from_json(x) -> int:
+    """An int, or a rational (or "p/q" string) that is integral; floats,
+    bools and non-integral values raise K3BVError."""
+    if isinstance(x, bool) or not isinstance(x, (int, Fraction, str)):
+        raise K3BVError(f"expected an integer, got {x}")
+    f = rational_from_str(x)
+    if f.denominator != 1:
+        raise K3BVError(f"expected an integer, got {x}")
+    return f.numerator
+
+
+def _int_matrix(rows) -> tuple[tuple[int, ...], ...]:
+    if not isinstance(rows, (list, tuple)) or \
+            not all(isinstance(row, (list, tuple)) for row in rows):
+        raise K3BVError(f"expected a list of integer rows, got {rows!r}")
+    return tuple(tuple(int_from_json(x) for x in row) for row in rows)
+
+
 def parse_coords(s: str) -> tuple[Fraction, ...]:
     """Comma-separated rationals, e.g. "1,0,3/2,-1"."""
     parts = [p.strip() for p in s.split(",")] if s.strip() else []
@@ -58,7 +76,7 @@ def lattice_from_json(obj) -> IntegerLattice:
         return lattice_by_name(obj)
     if not isinstance(obj, dict) or "gram" not in obj:
         raise K3BVError("lattice JSON needs a 'gram' field or a catalog name")
-    lat = IntegerLattice(tuple(tuple(int(x) for x in row) for row in obj["gram"]))
+    lat = IntegerLattice(_int_matrix(obj["gram"]))
     if "rank" in obj and obj["rank"] != lat.rank:
         raise K3BVError(f"declared rank {obj['rank']} does not match Gram size {lat.rank}")
     return lat
@@ -70,16 +88,16 @@ def sublattice_to_json(s: Sublattice) -> dict:
 
 
 def sublattice_from_json(obj) -> Sublattice:
-    if isinstance(obj, str) or "basis" not in obj:
+    if not isinstance(obj, dict) or "basis" not in obj:
         lat = lattice_from_json(obj)
         return Sublattice.full(lat)
-    lat = lattice_from_json(obj["ambient"])
-    return Sublattice(lat, tuple(tuple(int(x) for x in row) for row in obj["basis"]))
+    lat = lattice_from_json(obj.get("ambient"))
+    return Sublattice(lat, _int_matrix(obj["basis"]))
 
 
 def involution_from_json(obj) -> LatticeInvolution:
     lat = lattice_from_json(obj["lattice"])
-    return LatticeInvolution(lat, tuple(tuple(int(x) for x in row) for row in obj["matrix"]))
+    return LatticeInvolution(lat, _int_matrix(obj["matrix"]))
 
 
 def census_to_json(c: FiberCensus) -> dict:
@@ -94,7 +112,7 @@ def census_to_json(c: FiberCensus) -> dict:
 
 def census_from_json(obj) -> FiberCensus:
     try:
-        bv = BVData(int(obj["n"]), int(obj["nprime"]))
+        bv = BVData(int_from_json(obj["n"]), int_from_json(obj["nprime"]))
         records = []
         for rec in obj["fibers"]:
             real = rec.get("real")
@@ -103,7 +121,7 @@ def census_from_json(obj) -> FiberCensus:
                 bool(rec["fixed"]),
                 RealFiberType(real) if real is not None else None,
             ))
-    except (KeyError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise K3BVError(f"bad census JSON: {exc}") from None
     return FiberCensus(tuple(records), bv)
 
@@ -112,11 +130,14 @@ def load_json_arg(value: str):
     """Inline JSON if the argument looks like JSON, else a file path,
     else a bare catalog name."""
     v = value.strip()
-    if v.startswith("{") or v.startswith("["):
-        return json.loads(v)
-    if os.path.exists(v):
-        with open(v, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+    try:
+        if v.startswith("{") or v.startswith("["):
+            return json.loads(v)
+        if os.path.exists(v):
+            with open(v, "r", encoding="utf-8") as fh:
+                return json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise K3BVError(f"cannot read JSON argument: {exc}") from None
     return v
 
 

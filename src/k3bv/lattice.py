@@ -12,12 +12,11 @@ from math import gcd
 
 from . import matrixops as mo
 from .errors import DimensionMismatch, NotInLattice
-from .matrixops import Matrix, SmithDecomposition, Vector, smith_normal_form
+from .matrixops import Matrix, Vector, smith_normal_form
 
 __all__ = [
     "IntegerLattice",
     "Sublattice",
-    "SmithDecomposition",
     "smith_normal_form",
     "pairing",
     "det_and_signature",
@@ -223,10 +222,11 @@ def contains(s: Sublattice, v: Vector) -> bool:
 
 
 def same_sublattice(a: Sublattice, b: Sublattice) -> bool:
-    """Equality as subsets of the common ambient lattice."""
+    """Equality as subsets of the common ambient lattice: the bases have
+    the same row Hermite normal form."""
     if a.ambient != b.ambient or a.rank != b.rank:
         return False
-    return all(contains(b, row) for row in a.basis) and all(contains(a, row) for row in b.basis)
+    return mo.hermite_normal_form(a.basis) == mo.hermite_normal_form(b.basis)
 
 
 def divisibility(s: Sublattice, v: Vector) -> int:

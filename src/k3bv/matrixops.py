@@ -1,16 +1,18 @@
 """Exact matrix arithmetic over Z and Q.
 
 Matrices are tuples of tuples (rows); vectors are tuples. Entries are
-Python ints or fractions.Fraction. Everything here is pure and
-allocation-happy: ranks in this package never exceed 22, so clarity
-wins over cleverness.
+Python ints or fractions.Fraction. Rank, determinant, solutions and
+inverses all come from one fraction-free (Bareiss) Gauss-Jordan kernel
+over int; a Fraction is built only for a result. Lattice equality uses
+the row Hermite normal form. Ranks in this package never exceed 22.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
+from operator import mul
 
 from .errors import DimensionMismatch
 
@@ -40,13 +42,13 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     if a and b and len(a[0]) != len(b):
         raise DimensionMismatch(f"cannot multiply {len(a)}x{len(a[0])} by {len(b)}x{len(b[0])}")
     bt = transpose(b)
-    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a)
+    return tuple(tuple(sum(map(mul, row, col)) for col in bt) for row in a)
 
 
 def mat_vec(a: Matrix, v: Vector) -> Vector:
     if a and len(a[0]) != len(v):
         raise DimensionMismatch(f"matrix has {len(a[0])} columns, vector has {len(v)}")
-    return tuple(sum(x * y for x, y in zip(row, v)) for row in a)
+    return tuple(sum(map(mul, row, v)) for row in a)
 
 
 def vec_mat(v: Vector, a: Matrix) -> Vector:
@@ -56,7 +58,7 @@ def vec_mat(v: Vector, a: Matrix) -> Vector:
 def dot(v: Vector, w: Vector) -> object:
     if len(v) != len(w):
         raise DimensionMismatch(f"vectors of length {len(v)} and {len(w)}")
-    return sum(x * y for x, y in zip(v, w))
+    return sum(map(mul, v, w))
 
 
 def scale_vec(c, v: Vector) -> Vector:
@@ -78,63 +80,81 @@ def is_symmetric(a: Matrix) -> bool:
 
 
 def bareiss_det(a: Matrix) -> int:
-    """Exact determinant of an integer matrix, fraction-free."""
+    """Exact determinant of an integer matrix: the last pivot of the
+    fraction-free elimination, zero when a pivot is missing."""
     n = len(a)
-    if n == 0:
-        return 1
     if any(len(row) != n for row in a):
         raise DimensionMismatch("determinant of a non-square matrix")
-    m = [list(row) for row in a]
-    sign = 1
+    _, pivots, d = _echelon(a, n)
+    return d if len(pivots) == n else 0
+
+
+def _echelon(a: Matrix, ncols: int) -> tuple[list[list[int]], list[int], int]:
+    """Fraction-free Gauss-Jordan elimination (Bareiss) of the rows of a.
+
+    Each row is first multiplied by the lcm of its denominators, which
+    keeps its span. Column by column over the first ncols columns, the
+    first remaining row with a nonzero entry becomes the pivot row and
+    every other row is updated as (p * row - f * pivot_row) / prev, an
+    exact division by the previous pivot. A row swap also negates a row,
+    so for a square integer matrix of full rank d is its determinant.
+    Returns the integer rows (pivot rows first, in column order), the
+    pivot columns and the last pivot d; the pivot columns then read d
+    times the identity.
+    """
+    rows = []
+    for row in a:
+        den = lcm(*{x.denominator for x in row})
+        rows.append([x.numerator * (den // x.denominator) for x in row] if den > 1
+                    else [x.numerator for x in row])
+    m = len(rows)
+    pivots: list[int] = []
     prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k] != 0:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
+    for c in range(ncols):
+        r = len(pivots)
+        if r == m:
+            break
+        piv = next((i for i in range(r, m) if rows[i][c]), None)
+        if piv is None:
+            continue
+        if piv != r:
+            rows[r], rows[piv] = rows[piv], [-x for x in rows[r]]
+        prow = rows[r]
+        p = prow[c]
+        for i, row in enumerate(rows):
+            f = row[c]
+            if f and i != r:
+                rows[i] = [(p * x - f * y) // prev for x, y in zip(row, prow)]
+            elif not f and p != prev:
+                rows[i] = [p * x // prev for x in row]
+        pivots.append(c)
+        prev = p
+    return rows, pivots, prev
+
+
+def _inverse(a: Matrix) -> tuple[list[list[int]], int]:
+    """(Y, d) with a^-1 = Y / d; raises on non-square or singular input."""
+    n = len(a)
+    if any(len(row) != n for row in a):
+        raise DimensionMismatch("inverse of a non-square matrix")
+    rows, pivots, d = _echelon([tuple(row) + e for row, e in zip(a, identity(n))], n)
+    if len(pivots) < n:
+        raise DimensionMismatch("matrix is singular over Q")
+    return [row[n:] for row in rows], d
 
 
 def rational_inverse(a: Matrix) -> Matrix:
-    """Inverse over Q via Gauss-Jordan; raises on singular input."""
-    n = len(a)
-    aug = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-           for i, row in enumerate(a)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if piv is None:
-            raise DimensionMismatch("matrix is singular over Q")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        p = aug[col][col]
-        aug[col] = [x / p for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    return freeze(row[n:] for row in aug)
+    """Inverse over Q; raises on singular input."""
+    y, d = _inverse(a)
+    return freeze((Fraction(x, d) for x in row) for row in y)
 
 
 def integer_inverse(a: Matrix) -> Matrix:
     """Inverse of a unimodular integer matrix, returned over Z."""
-    inv = rational_inverse(a)
-    out = []
-    for row in inv:
-        irow = []
-        for x in row:
-            f = Fraction(x)
-            if f.denominator != 1:
-                raise DimensionMismatch("matrix is not unimodular")
-            irow.append(int(f))
-        out.append(irow)
-    return freeze(out)
+    y, d = _inverse(a)
+    if abs(d) != 1:
+        raise DimensionMismatch("matrix is not unimodular")
+    return freeze((x * d for x in row) for row in y)
 
 
 def solve_rational(a: Matrix, b: Vector) -> Vector | None:
@@ -142,53 +162,55 @@ def solve_rational(a: Matrix, b: Vector) -> Vector | None:
 
     `a` is m x n acting on column vectors; free variables are set to 0.
     """
-    m = len(a)
-    n = len(a[0]) if m else 0
-    aug = [[Fraction(x) for x in row] + [Fraction(bv)] for row, bv in zip(a, b)]
-    pivots = []
-    r = 0
-    for c in range(n):
-        piv = next((i for i in range(r, m) if aug[i][c] != 0), None)
-        if piv is None:
-            continue
-        aug[r], aug[piv] = aug[piv], aug[r]
-        p = aug[r][c]
-        aug[r] = [x / p for x in aug[r]]
-        for i in range(m):
-            if i != r and aug[i][c] != 0:
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
-        pivots.append(c)
-        r += 1
-        if r == m:
-            break
-    for i in range(r, m):
-        if aug[i][n] != 0:
-            return None
+    n = len(a[0]) if a else 0
+    rows, pivots, d = _echelon([tuple(row) + (bv,) for row, bv in zip(a, b)], n)
+    if any(row[n] for row in rows[len(pivots):]):
+        return None
     x = [Fraction(0)] * n
-    for row_idx, c in enumerate(pivots):
-        x[c] = aug[row_idx][n]
+    for row, c in zip(rows, pivots):
+        x[c] = Fraction(row[n], d)
     return tuple(x)
 
 
 def rank_rational(a: Matrix) -> int:
-    m = len(a)
-    n = len(a[0]) if m else 0
-    rows = [[Fraction(x) for x in row] for row in a]
+    return len(_echelon(a, len(a[0]) if a else 0)[1])
+
+
+def independent_rows(a: Matrix) -> Matrix:
+    """The rows of a that lie outside the rational span of the rows before
+    them: the pivot columns of the transpose."""
+    pivots = _echelon(transpose(a), len(a))[1]
+    return tuple(tuple(a[i]) for i in pivots)
+
+
+def hermite_normal_form(a: Matrix) -> Matrix:
+    """Row Hermite normal form of an integer matrix.
+
+    Euclid's algorithm on pairs of rows (unimodular row operations)
+    clears each column below its pivot; pivots are made positive and the
+    entries above them reduced into [0, pivot). Zero rows end up last.
+    Two matrices generate the same lattice exactly when their forms agree
+    (Cohen, Sec. 2.4.2).
+    """
+    rows = [list(row) for row in a]
     r = 0
-    for c in range(n):
-        piv = next((i for i in range(r, m) if rows[i][c] != 0), None)
-        if piv is None:
+    for c in range(len(rows[0]) if rows else 0):
+        if r == len(rows):
+            break
+        for i in range(r + 1, len(rows)):
+            while rows[i][c]:
+                q = rows[r][c] // rows[i][c]
+                rows[r], rows[i] = rows[i], [x - q * y for x, y in zip(rows[r], rows[i])]
+        if rows[r][c] == 0:
             continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        p = rows[r][c]
-        rows[r] = [x / p for x in rows[r]]
-        for i in range(m):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        if rows[r][c] < 0:
+            rows[r] = [-x for x in rows[r]]
+        for i in range(r):
+            q = rows[i][c] // rows[r][c]
+            if q:
+                rows[i] = [x - q * y for x, y in zip(rows[i], rows[r])]
         r += 1
-    return r
+    return freeze(rows)
 
 
 @dataclass(frozen=True)

@@ -165,15 +165,10 @@ def construct_mirror(pair: AdmissiblePair) -> MirrorSplit:
                 "alpha.E' not divisible by m on (ZE)-perp; "
                 "the embedding of M-check into T is not integral")
         image_rows.append(mo.sub_vec(alpha, mo.scale_vec(a_ep // m, e)))
-    # E itself maps to 0; drop dependent rows by saturating a maximal
-    # independent subset.
-    independent: list[Vector] = []
-    for row in image_rows:
-        if all(x == 0 for x in row):
-            continue
-        if mo.rank_rational(tuple(independent) + (row,)) > len(independent):
-            independent.append(row)
-    m_check = saturation(Sublattice(lat, tuple(independent))) if independent \
+    # E itself maps to 0; drop dependent rows by saturating the rows that
+    # are independent of the rows before them.
+    independent = mo.independent_rows(image_rows)
+    m_check = saturation(Sublattice(lat, independent)) if independent \
         else Sublattice(lat, ())
     p = Sublattice(lat, (e, ep))
 

@@ -18,8 +18,7 @@ from math import lcm
 
 from . import matrixops as mo
 from .cnum import QC
-from .domains import (PeriodVector, TubePoint, clear_denominators, in_period_domain,
-                      in_tube)
+from .domains import PeriodVector, TubePoint, clear_denominators, in_period_domain
 from .errors import K3BVError, NormalizationError
 from .matrixops import Vector
 from .mirror import MirrorSplit
@@ -47,7 +46,8 @@ def phi(split: MirrorSplit, p: TubePoint) -> PeriodVector:
     """Mirror map: tube point over M-check to period vector over T."""
     if p.lattice != split.m_check:
         raise K3BVError("tube point must live over the M-check of the split")
-    if not in_tube(p):
+    w_sq = p.omega_sq()
+    if w_sq <= 0:
         raise K3BVError("point is not in the tube domain: omega.omega <= 0")
     m = split.m
     e, ep = split.pair.e, split.pair.e_prime
@@ -56,7 +56,6 @@ def phi(split: MirrorSplit, p: TubePoint) -> PeriodVector:
     nw, dw = clear_denominators(p.omega)
     b_t = mo.vec_mat(nb, split.m_check.basis)
     w_t = mo.vec_mat(nw, split.m_check.basis)
-    w_sq = p.omega_sq()
     b_sq = p.b_sq()
     wb = p.b_dot_omega()
     # re = b_t / db + E' / m + q E and im = w_t / dw - wb E, each over

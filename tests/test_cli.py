@@ -143,3 +143,77 @@ class TestLeray:
                            "--e", "1,0,0,0", "--eprime", "0,1,0,0", "--m", "1")
         assert code == 0
         assert json.loads(out)["m"] == 1
+
+
+class TestStrictInput:
+    """Inputs that are not exact integers, or not JSON, are domain errors:
+    exit 1 with an error payload on stdout and nothing on stderr."""
+
+    def assert_domain_error(self, capsys, *argv):
+        code = run(list(argv))
+        captured = capsys.readouterr()
+        assert code == 1
+        assert json.loads(captured.out)["error"]["type"] == "K3BVError"
+        assert captured.err == ""
+        return json.loads(captured.out)["error"]["message"]
+
+    @pytest.mark.parametrize("spec", [
+        '{"gram":[[1.7]]}',
+        '{"gram":[[true]]}',
+        '{"gram":[["1/2"]]}',
+        '{"gram":[["a"]]}',
+        '{"gram":[5]}',
+        '{bad',
+        '[1,',
+    ])
+    def test_bad_lattice_spec(self, capsys, spec):
+        self.assert_domain_error(capsys, "lattice", "info", "--spec", spec)
+
+    @pytest.mark.parametrize("lattice", ['{"basis":[[1,0]]}', '[[0,1],[1,0]]'])
+    def test_bad_sublattice_spec(self, capsys, lattice):
+        self.assert_domain_error(capsys, "mirror", "construct", "--lattice", lattice,
+                                 "--e", "1,0", "--eprime", "0,1", "--m", "1")
+
+    def test_integral_rational_string_accepted(self, capsys):
+        code, out = invoke(capsys, "lattice", "info", "--spec", '{"gram":[["6/3"]]}')
+        assert code == 0
+        assert json.loads(out) == {"rank": 1, "signature": [1, 0], "even": True, "det": 2}
+
+    def test_bad_json_file(self, capsys, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text("{bad")
+        self.assert_domain_error(capsys, "lattice", "info", "--spec", str(path))
+
+    @pytest.mark.parametrize("flag", ["--e", "--eprime"])
+    def test_non_integral_coordinates(self, capsys, flag):
+        args = {"--e": "1,0,0,0", "--eprime": "0,1,0,0"}
+        args[flag] = "3/2,0,0,0" if flag == "--e" else "0,3/2,0,0"
+        message = self.assert_domain_error(
+            capsys, "mirror", "construct", "--lattice", UU_JSON,
+            "--e", args["--e"], "--eprime", args["--eprime"], "--m", "1")
+        assert "3/2" in message
+
+    def test_integral_coordinates_accepted(self, capsys):
+        code, out = invoke(capsys, "mirror", "construct", "--lattice", UU_JSON,
+                           "--e", "2/2,0,0,0", "--eprime", "0,1,0,0", "--m", "1")
+        assert code == 0
+        assert json.loads(out)["e"] == [1, 0, 0, 0]
+
+    @pytest.mark.parametrize("field,value", [("e", [1.0, 0, 0, 0]), ("m", True),
+                                             ("eprime", ["0", "1/2", 0, 0])])
+    def test_bad_split_json(self, capsys, field, value):
+        split = {"t": json.loads(UU_JSON), "e": [1, 0, 0, 0],
+                 "eprime": [0, 1, 0, 0], "m": 1}
+        split[field] = value
+        self.assert_domain_error(capsys, "mirror", "phi", "--split", json.dumps(split),
+                                 "--b", "0,0", "--omega", "1,1")
+
+    @pytest.mark.parametrize("n,nprime", [(1.5, 2), (True, 2), (3, "9/2")])
+    def test_bad_census_counts(self, capsys, n, nprime):
+        census = json.dumps({"n": n, "nprime": nprime, "fibers": []})
+        self.assert_domain_error(capsys, "census", "check", "--census", census)
+
+    @pytest.mark.parametrize("census", ['{"n": 1, "nprime": 1, "fibers": [5]}',
+                                        '{"n": 1, "nprime": 1, "fibers": 5}', '[1]'])
+    def test_bad_census_shape(self, capsys, census):
+        self.assert_domain_error(capsys, "census", "check", "--census", census)

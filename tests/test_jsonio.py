@@ -6,7 +6,7 @@ import pytest
 
 from k3bv import K3BVError, KodairaType, RealFiberType, k3_lattice
 from k3bv.jsonio import (census_from_json, census_to_json, dumps,
-                         involution_from_json, lattice_from_json,
+                         int_from_json, involution_from_json, lattice_from_json,
                          lattice_to_json, parse_coords, rational_from_str,
                          rational_to_str, sublattice_from_json,
                          sublattice_to_json)
@@ -37,6 +37,29 @@ class TestRationals:
     def test_parse_coords(self):
         assert parse_coords("1,0,3/2,-1") == (1, 0, Fraction(3, 2), -1)
         assert parse_coords("") == ()
+
+
+class TestIntegers:
+    @pytest.mark.parametrize("value,expected", [
+        (3, 3), (-7, -7), ("12", 12), ("6/3", 2), ("-4/2", -2), (Fraction(8, 4), 2),
+    ])
+    def test_integral(self, value, expected):
+        assert int_from_json(value) == expected
+        assert type(int_from_json(value)) is int
+
+    @pytest.mark.parametrize("value", [1.0, 1.7, True, False, "3/2", Fraction(1, 3),
+                                       "x", None, [1], "1/0"])
+    def test_rejected(self, value):
+        with pytest.raises(K3BVError):
+            int_from_json(value)
+
+    def test_matrices_are_strict(self):
+        with pytest.raises(K3BVError):
+            lattice_from_json({"gram": [[2.0]]})
+        with pytest.raises(K3BVError):
+            sublattice_from_json({"ambient": "U", "basis": [[1, False]]})
+        with pytest.raises(K3BVError):
+            involution_from_json({"lattice": "U", "matrix": [[0, 1], [1, 0.0]]})
 
 
 class TestLatticeJson:

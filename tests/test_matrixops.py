@@ -1,0 +1,288 @@
+"""The fraction-free elimination kernel and Hermite-form lattice equality,
+checked against a plain Fraction Gauss-Jordan reference."""
+
+import hashlib
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, strategies as st
+
+from k3bv import (DimensionMismatch, IntegerLattice, K3BVError, Sublattice,
+                  SymplecticSpace, same_sublattice, transpose_defect)
+from k3bv import matrixops as mo
+from k3bv.lattice import contains
+
+from conftest import basis_vector
+
+
+# --- Fraction reference ------------------------------------------------------
+
+def ref_rref(a, width):
+    """Reduced row echelon form over Q, pivots searched in the first width
+    columns (first nonzero row below the pivots), and its pivot columns."""
+    rows = [[Fraction(x) for x in row] for row in a]
+    pivots = []
+    for c in range(width):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        rows[r] = [x / rows[r][c] for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+    return rows, pivots
+
+
+def ncols(a):
+    return len(a[0]) if a else 0
+
+
+def ref_rank(a):
+    return len(ref_rref(a, ncols(a))[1])
+
+
+def ref_solve(a, b):
+    n = ncols(a)
+    rows, pivots = ref_rref([list(row) + [bv] for row, bv in zip(a, b)], n)
+    if any(row[n] != 0 for row in rows[len(pivots):]):
+        return None
+    x = [Fraction(0)] * n
+    for row, c in zip(rows, pivots):
+        x[c] = row[n]
+    return tuple(x)
+
+
+def ref_inverse(a):
+    n = len(a)
+    rows, pivots = ref_rref([list(row) + list(e) for row, e in zip(a, mo.identity(n))], n)
+    if len(pivots) < n:
+        return None
+    return tuple(tuple(row[n:]) for row in rows)
+
+
+def ref_det(a):
+    rows = [[Fraction(x) for x in row] for row in a]
+    det = Fraction(1)
+    for c in range(len(rows)):
+        piv = next((i for i in range(c, len(rows)) if rows[i][c] != 0), None)
+        if piv is None:
+            return 0
+        if piv != c:
+            rows[c], rows[piv] = rows[piv], rows[c]
+            det = -det
+        det *= rows[c][c]
+        for i in range(c + 1, len(rows)):
+            f = rows[i][c] / rows[c][c]
+            rows[i] = [x - f * y for x, y in zip(rows[i], rows[c])]
+    return det
+
+
+# --- strategies --------------------------------------------------------------
+
+ints = st.integers(-4, 4)
+rationals = st.one_of(ints, st.fractions(min_value=-4, max_value=4, max_denominator=4))
+
+
+@st.composite
+def matrices(draw, entries=rationals, square=False):
+    """Small matrices, including 0 x n and n x 0 shapes, with rows that
+    repeat combinations of earlier rows and with all-zero columns."""
+    m = draw(st.integers(0, 5))
+    n = m if square else draw(st.integers(0, 5))
+    rows = [draw(st.lists(entries, min_size=n, max_size=n)) for _ in range(m)]
+    for i in range(2, m):
+        if draw(st.booleans()):
+            c1, c2 = draw(ints), draw(ints)
+            rows[i] = [c1 * x + c2 * y for x, y in zip(rows[i - 1], rows[i - 2])]
+    if n and draw(st.booleans()):
+        j = draw(st.integers(0, n - 1))
+        for row in rows:
+            row[j] = 0
+    return mo.freeze(rows)
+
+
+@st.composite
+def unimodular(draw, n):
+    """Products of elementary integer row operations (add, negate, swap)."""
+    u = [list(row) for row in mo.identity(n)]
+    for _ in range(draw(st.integers(0, 3 * n))):
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        if i == j:
+            u[i] = [-x for x in u[i]]
+        elif draw(st.booleans()):
+            u[i], u[j] = u[j], u[i]
+        else:
+            c = draw(st.integers(-2, 2))
+            u[i] = [x + c * y for x, y in zip(u[i], u[j])]
+    return mo.freeze(u)
+
+
+@st.composite
+def independent_bases(draw):
+    """(n, B): an r x n integer matrix with linearly independent rows."""
+    n = draw(st.integers(1, 6))
+    r = draw(st.integers(1, n))
+    rows = draw(st.lists(st.lists(ints, min_size=n, max_size=n), min_size=r, max_size=r))
+    if ref_rank(rows) < r:
+        # Fall back to a unimodular image of coordinate vectors.
+        rows = mo.mat_mul(mo.identity(n)[:r], draw(unimodular(n)))
+    return n, mo.freeze(rows)
+
+
+# --- the kernel against the reference ---------------------------------------
+
+class TestKernelAgainstReference:
+    @given(matrices())
+    def test_rank(self, a):
+        assert mo.rank_rational(a) == ref_rank(a)
+
+    @given(matrices(), st.data())
+    def test_solve(self, a, data):
+        n = ncols(a)
+        if data.draw(st.booleans()):
+            x = data.draw(st.lists(rationals, min_size=n, max_size=n))
+            b = mo.mat_vec(a, tuple(x)) if a else ()
+        else:
+            b = tuple(data.draw(st.lists(rationals, min_size=len(a), max_size=len(a))))
+        sol = mo.solve_rational(a, b)
+        assert sol == ref_solve(a, b)
+        if sol is not None:
+            assert all(isinstance(x, Fraction) for x in sol)
+            assert mo.mat_vec(a, sol) == tuple(b) or not a
+
+    def test_solve_inconsistent(self):
+        a = ((1, 2), (2, 4))
+        assert mo.solve_rational(a, (1, 3)) is None
+        assert mo.solve_rational(((0, 0),), (1,)) is None
+        assert mo.solve_rational(((), ()), (0, 1)) is None
+
+    def test_solve_free_variables_are_zero(self):
+        assert mo.solve_rational(((0, 2, 4),), (6,)) == (0, 3, 0)
+
+    @given(matrices(square=True))
+    def test_rational_inverse(self, a):
+        expected = ref_inverse(a)
+        if expected is None:
+            with pytest.raises(DimensionMismatch):
+                mo.rational_inverse(a)
+        else:
+            inv = mo.rational_inverse(a)
+            assert inv == expected
+            assert all(isinstance(x, Fraction) for row in inv for x in row)
+
+    @given(st.integers(0, 6).flatmap(unimodular))
+    def test_integer_inverse_of_unimodular(self, u):
+        inv = mo.integer_inverse(u)
+        assert inv == ref_inverse(u)
+        assert all(type(x) is int for row in inv for x in row)
+        assert mo.mat_mul(u, inv) == mo.identity(len(u))
+
+    @given(matrices(entries=ints, square=True))
+    def test_integer_inverse_rejects_non_unimodular(self, a):
+        det = ref_det(a)
+        if abs(det) == 1:
+            assert mo.integer_inverse(a) == ref_inverse(a)
+        else:
+            with pytest.raises(DimensionMismatch):
+                mo.integer_inverse(a)
+
+    @given(matrices(entries=ints, square=True))
+    def test_det(self, a):
+        assert mo.bareiss_det(a) == ref_det(a)
+
+    def test_non_square(self):
+        with pytest.raises(DimensionMismatch):
+            mo.rational_inverse(((1, 2),))
+        with pytest.raises(DimensionMismatch):
+            mo.bareiss_det(((1, 2),))
+
+    def test_empty(self):
+        assert mo.rank_rational(()) == 0
+        assert mo.rank_rational(((), ())) == 0
+        assert mo.rational_inverse(()) == ()
+        assert mo.integer_inverse(()) == ()
+        assert mo.bareiss_det(()) == 1
+        assert mo.independent_rows(()) == ()
+
+    @given(matrices())
+    def test_independent_rows_is_the_greedy_choice(self, a):
+        greedy = []
+        for row in a:
+            if ref_rank(greedy + [row]) > len(greedy):
+                greedy.append(tuple(row))
+        assert mo.independent_rows(a) == tuple(greedy)
+
+
+class TestFractionEntryPaths:
+    def test_symplectic_form_with_fractions(self):
+        half = Fraction(1, 2)
+        assert SymplecticSpace(((0, half), (-half, 0))).dim == 2
+        with pytest.raises(K3BVError):
+            SymplecticSpace(((0, half, 0, 0), (-half, 0, 0, 0),
+                             (0, 0, 0, 0), (0, 0, 0, 0)))
+
+    def test_transpose_defect_with_fractions(self):
+        half = Fraction(1, 2)
+        v = SymplecticSpace(((0, half), (-half, 0)))
+        # det(phi) = -1, so phi^T F phi = -F for every 2 x 2 skew F.
+        phi = ((3, 1), (Fraction(1, 3), Fraction(-2, 9)))
+        assert transpose_defect(v, v, phi) == ((0, 0), (0, 0))
+
+
+# --- Hermite-form equality ---------------------------------------------------
+
+class TestHermiteEquality:
+    @given(independent_bases(), st.data())
+    def test_unimodular_change_of_basis(self, nb, data):
+        n, b = nb
+        u = data.draw(unimodular(len(b)))
+        lat = IntegerLattice(mo.identity(n))
+        s, s2 = Sublattice(lat, b), Sublattice(lat, mo.mat_mul(u, b))
+        assert all(contains(s, row) for row in s2.basis)
+        assert all(contains(s2, row) for row in s.basis)
+        assert same_sublattice(s, s2)
+        assert mo.hermite_normal_form(b) == mo.hermite_normal_form(s2.basis)
+
+    @given(independent_bases(), st.data())
+    def test_index_two(self, nb, data):
+        n, b = nb
+        u = data.draw(unimodular(len(b)))
+        half = (tuple(2 * x for x in b[0]),) + b[1:]
+        lat = IntegerLattice(mo.identity(n))
+        s, s2 = Sublattice(lat, b), Sublattice(lat, mo.mat_mul(u, half))
+        assert all(contains(s, row) for row in s2.basis)
+        assert not all(contains(s2, row) for row in s.basis)
+        assert not same_sublattice(s, s2)
+        assert not same_sublattice(s2, s)
+
+    def test_form(self):
+        assert mo.hermite_normal_form(((2, 3), (4, 5))) == ((2, 0), (0, 1))
+        assert mo.hermite_normal_form(((1, 7), (0, -3))) == ((1, 1), (0, 3))
+        assert mo.hermite_normal_form(((0, -3), (0, 6))) == ((0, 3), (0, 0))
+
+
+# --- returned bases are pinned -----------------------------------------------
+
+class TestPinnedBases:
+    def test_uu_split(self, uu_split):
+        assert uu_split.m_check.basis == ((0, 0, 1, 0), (0, 0, 0, 1))
+
+    def test_k3_split(self, k3_split):
+        _, t, split = k3_split
+        assert split.m_check.basis == tuple(basis_vector(20, i) for i in range(2, 20))
+
+    def test_skewed_splits(self):
+        from test_mirrormap import _skewed_k3_split, _skewed_u2_split
+
+        digests = []
+        for make in (_skewed_k3_split, _skewed_u2_split):
+            split, _ = make()
+            digests.append(hashlib.sha256(
+                repr((split.t.basis, split.m_check.basis)).encode()).hexdigest())
+        assert digests == [
+            "6eba7a772a4e9f32d70fc68ca3b55d737af7ce5d02d47f980a91a2445ef6e8c8",
+            "8997281d2b10761927232b1ea26c56afa54b2771c8bdd8657973ab8b6782291f"]
