@@ -8,17 +8,16 @@ marker type; the numeric operations reject them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 
 from .errors import K3BVError
+from .record import Record
 
 __all__ = ["BVData", "HodgePair", "SelfMirrorLocus", "hodge_numbers",
            "euler_characteristic", "mirror_swap"]
 
 
-@dataclass(frozen=True)
-class BVData:
+class BVData(Record):
     """N fixed curves, one of genus N' and the others rational."""
 
     n: int
@@ -38,8 +37,7 @@ class SelfMirrorLocus(Enum):
     TWO_ELLIPTIC_CURVES = "two_elliptic_curves"
 
 
-@dataclass(frozen=True)
-class HodgePair:
+class HodgePair(Record):
     h11: int
     h21: int
 

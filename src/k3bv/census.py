@@ -7,13 +7,13 @@ Only counts enter the Euler computation: fixed nodal fibers contribute
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
 
 from .bv import BVData, mirror_swap
 from .errors import CensusError, K3BVError
 from .involution import RealFiberType, real_fiber_dual
+from .record import Record
 
 __all__ = ["KodairaType", "FiberRecord", "FiberCensus", "BasePoint",
            "validate_census", "census_slack", "fiber_contribution",
@@ -25,8 +25,7 @@ class KodairaType(Enum):
     II = "II"
 
 
-@dataclass(frozen=True)
-class FiberRecord:
+class FiberRecord(Record):
     """One singular fiber of the elliptic fibration underneath the census."""
 
     kodaira: KodairaType
@@ -47,8 +46,7 @@ class FiberRecord:
                 raise CensusError("a fixed II fiber has a singular circle as real part")
 
 
-@dataclass(frozen=True)
-class FiberCensus:
+class FiberCensus(Record):
     records: tuple[FiberRecord, ...]
     bv: BVData
 
@@ -123,15 +121,14 @@ def dualize_census(c: FiberCensus) -> FiberCensus:
     """Swap figure eights with circles plus points and (N, N')."""
     validate_census(c)
     new_records = tuple(
-        replace(r, real_type=real_fiber_dual(r.real_type))
+        FiberRecord(r.kodaira, r.fixed, real_fiber_dual(r.real_type))
         if r.fixed and r.kodaira is KodairaType.I1 else r
         for r in c.records)
     dual = FiberCensus(new_records, mirror_swap(c.bv))
     return validate_census(dual)
 
 
-@dataclass(frozen=True)
-class BasePoint:
+class BasePoint(Record):
     """Exact rational point of S^2 x S^1."""
 
     x: Fraction

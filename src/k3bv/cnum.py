@@ -2,14 +2,13 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import K3BVError
+from .record import Record
 
 
-@dataclass(frozen=True)
-class QC:
+class QC(Record):
     """re + i*im with Fraction components; division via the conjugate."""
 
     re: Fraction = Fraction(0)

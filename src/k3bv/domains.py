@@ -7,7 +7,6 @@ sublattice they live over; only rational points are representable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
@@ -19,6 +18,7 @@ from .errors import DimensionMismatch, K3BVError
 from .lattice import Sublattice
 from .matrixops import Vector
 from .mirror import MirrorSplit
+from .record import Record
 
 __all__ = ["TubePoint", "PeriodVector", "in_tube", "in_period_domain",
            "in_delta", "in_primed"]
@@ -44,8 +44,7 @@ def _form(sub: Sublattice, v: Vector, w: Vector) -> Fraction:
     return Fraction(total, dv * dw)
 
 
-@dataclass(frozen=True)
-class TubePoint:
+class TubePoint(Record):
     """B + i*omega over M or M-check, coordinates in the sublattice basis."""
 
     lattice: Sublattice
@@ -67,8 +66,7 @@ class TubePoint:
         return _form(self.lattice, self.b, self.omega)
 
 
-@dataclass(frozen=True)
-class PeriodVector:
+class PeriodVector(Record):
     """Omega = re + i*im over the transcendental lattice T."""
 
     lattice: Sublattice

@@ -7,19 +7,18 @@ points on the unit circle (Pythagorean pairs), keeping everything exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import matrixops as mo
 from .errors import K3BVError, NormalizationError
 from .lattice import IntegerLattice
 from .matrixops import Vector
+from .record import Record
 
 __all__ = ["RotationRow", "RotationTable", "UnitPhase", "rotation_table", "phase_rotate"]
 
 
-@dataclass(frozen=True)
-class RotationRow:
+class RotationRow(Record):
     """Holomorphic 2-form (as a re/im pair of classes) and Kahler form."""
 
     holo_re: Vector
@@ -27,15 +26,13 @@ class RotationRow:
     kahler: Vector
 
 
-@dataclass(frozen=True)
-class RotationTable:
+class RotationTable(Record):
     i: RotationRow
     j: RotationRow
     k: RotationRow
 
 
-@dataclass(frozen=True)
-class UnitPhase:
+class UnitPhase(Record):
     """cos + i*sin with c^2 + s^2 = 1 exactly."""
 
     c: Fraction

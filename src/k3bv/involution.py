@@ -8,7 +8,6 @@ unimodular, so m = 1 is required and enforced.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
@@ -18,14 +17,14 @@ from .lattice import (IntegerLattice, Sublattice, orthogonal_complement,
                       same_sublattice, saturation)
 from .matrixops import Matrix, Vector
 from .mirror import MirrorSplit
+from .record import Record
 
 __all__ = ["LatticeInvolution", "RealFiberType", "SymplecticSpace",
            "invariant_sublattices", "mirror_involution", "transpose_defect",
            "real_fiber_dual"]
 
 
-@dataclass(frozen=True)
-class LatticeInvolution:
+class LatticeInvolution(Record):
     """Integer matrix squaring to the identity and preserving the form.
 
     The matrix acts on column vectors of lattice coordinates.
@@ -67,8 +66,7 @@ _SINGULAR_TYPES = {RealFiberType.FIGURE_EIGHT, RealFiberType.CIRCLE_POINT,
                    RealFiberType.SINGULAR_CIRCLE}
 
 
-@dataclass(frozen=True)
-class SymplecticSpace:
+class SymplecticSpace(Record):
     """Even-dimensional rational vector space with a nondegenerate skew form."""
 
     form: Matrix

@@ -6,13 +6,13 @@ fractions.Fraction. Values are immutable after construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
 from . import matrixops as mo
 from .errors import DimensionMismatch, NotInLattice
 from .matrixops import Matrix, Vector, smith_normal_form
+from .record import Record
 
 __all__ = [
     "IntegerLattice",
@@ -30,8 +30,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class IntegerLattice:
+class IntegerLattice(Record):
     """Free Z-module of finite rank with a symmetric integer Gram matrix."""
 
     gram: Matrix
@@ -61,8 +60,7 @@ class IntegerLattice:
         return tuple(v)
 
 
-@dataclass(frozen=True)
-class Sublattice:
+class Sublattice(Record):
     """Sublattice given by generator rows in ambient coordinates."""
 
     ambient: IntegerLattice
@@ -199,7 +197,8 @@ def coordinates_in(s: Sublattice, v: Vector, rational: bool = False) -> Vector:
     """
     if len(v) != s.ambient.rank:
         raise DimensionMismatch("vector length does not match ambient rank")
-    sol = mo.solve_rational(mo.transpose(s.basis), v)
+    # transpose(()) has no rows, so it would check no equation against v.
+    sol = mo.solve_rational(mo.transpose(s.basis), v) if s.basis or not any(v) else None
     if sol is None:
         raise NotInLattice("vector is not in the rational span of the sublattice")
     if rational:

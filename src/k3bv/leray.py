@@ -9,7 +9,6 @@ The tensor period lives in the factored basis
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import matrixops as mo
@@ -18,6 +17,7 @@ from .domains import TubePoint, in_tube
 from .errors import K3BVError
 from .lattice import Sublattice
 from .mirror import MirrorSplit
+from .record import Record
 
 __all__ = ["SpectralTable", "Filtration", "TensorPeriod", "k3_table",
            "elliptic_table", "bv_table", "y_betti", "check_degeneration",
@@ -25,8 +25,7 @@ __all__ = ["SpectralTable", "Filtration", "TensorPeriod", "k3_table",
            "recover_period_inputs"]
 
 
-@dataclass(frozen=True)
-class SpectralTable:
+class SpectralTable(Record):
     """E2 entries: (p, q) -> (dimension, symbolic label)."""
 
     entries: tuple[tuple[tuple[int, int], tuple[int, str]], ...]
@@ -48,8 +47,7 @@ class SpectralTable:
         return sums
 
 
-@dataclass(frozen=True)
-class Filtration:
+class Filtration(Record):
     """Increasing dimensions whose quotients match antidiagonal entries."""
 
     dims: tuple[int, ...]
@@ -136,8 +134,7 @@ def filtration_dims(t: SpectralTable, n: int) -> Filtration:
     return Filtration(tuple(dims))
 
 
-@dataclass(frozen=True)
-class TensorPeriod:
+class TensorPeriod(Record):
     """Finite complex-rational coefficients on {E, E', m_i} x {s_x, s_y}.
 
     Labels "E" and "E'" name the hyperbolic basis of P; "m<i>" names the

@@ -9,12 +9,12 @@ the row Hermite normal form. Ranks in this package never exceed 22.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
 
 from .errors import DimensionMismatch
+from .record import Record
 
 Matrix = tuple[tuple, ...]
 Vector = tuple
@@ -213,8 +213,7 @@ def hermite_normal_form(a: Matrix) -> Matrix:
     return freeze(rows)
 
 
-@dataclass(frozen=True)
-class SmithDecomposition:
+class SmithDecomposition(Record):
     """left * a * right = diag, with left and right unimodular.
 
     diag is rectangular-diagonal with nonnegative entries satisfying the

@@ -9,7 +9,6 @@ form div(E) * Z.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
 from operator import mul
@@ -19,13 +18,13 @@ from .errors import AdmissibilityError, SplittingError
 from .lattice import (IntegerLattice, Sublattice, det_and_signature, divisibility,
                       is_primitive, pairing, saturation)
 from .matrixops import Matrix, Vector
+from .record import Record
 
 __all__ = ["AdmissiblePair", "MirrorSplit", "find_isotropic",
            "check_admissible", "construct_mirror"]
 
 
-@dataclass(frozen=True)
-class AdmissiblePair:
+class AdmissiblePair(Record):
     """Isotropic vectors E, E' in T with E.E' = m and both of divisibility m."""
 
     t: Sublattice
@@ -34,8 +33,7 @@ class AdmissiblePair:
     m: int
 
 
-@dataclass(frozen=True)
-class MirrorSplit:
+class MirrorSplit(Record):
     """The exact splitting T = P + M-check produced by an admissible pair.
 
     p and m_check are sublattices of the induced lattice of T (i.e. their
@@ -87,18 +85,13 @@ def find_isotropic(t: Sublattice, height: int = 3) -> list[Vector]:
         return []
     gram = t.gram()
     n = t.rank
-    found = []
-    for coeffs in product(range(-height, height + 1), repeat=n):
-        if all(c == 0 for c in coeffs):
-            continue
-        first = next(c for c in coeffs if c != 0)
-        if first < 0:
-            continue  # sign representative
-        if mo.content(coeffs) != 1:
-            continue
-        if mo.dot(coeffs, mo.mat_vec(gram, coeffs)) == 0:
-            found.append(tuple(coeffs))
-    return found
+    span = range(-height, height + 1)
+    # A zero prefix, a positive entry, a free tail: one tuple per sign class,
+    # longer prefixes first as in lexicographic order.
+    candidates = (c for z in reversed(range(n))
+                  for c in product(*[(0,)] * z, range(1, height + 1), *[span] * (n - z - 1)))
+    return [c for c in candidates
+            if mo.content(c) == 1 and mo.dot(c, mo.mat_vec(gram, c)) == 0]
 
 
 def check_admissible(t: Sublattice, e: Vector, e_prime: Vector, m: int) -> AdmissiblePair:

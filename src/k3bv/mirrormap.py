@@ -12,7 +12,6 @@ bilinear form extends rationally without change.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
@@ -22,12 +21,12 @@ from .domains import PeriodVector, TubePoint, clear_denominators, in_period_doma
 from .errors import K3BVError, NormalizationError
 from .matrixops import Vector
 from .mirror import MirrorSplit
+from .record import Record
 
 __all__ = ["EllipticPeriod", "phi", "phi_inverse", "elliptic_phi"]
 
 
-@dataclass(frozen=True)
-class EllipticPeriod:
+class EllipticPeriod(Record):
     """Normalized elliptic period s_x + tau * s_y with tau = B + i*omega."""
 
     sx_coeff: Fraction

@@ -9,7 +9,6 @@ byte-identical.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
@@ -33,12 +32,12 @@ from .leray import (bv_mirror_period, bv_table, check_degeneration,
                     swap_rows, y_betti)
 from .mirror import MirrorSplit, check_admissible, construct_mirror
 from .mirrormap import phi, phi_inverse
+from .record import Record
 
 SEED = 20260823
 
 
-@dataclass(frozen=True)
-class CriterionResult:
+class CriterionResult(Record):
     number: int
     name: str
     passed: bool

@@ -1,8 +1,8 @@
 import pytest
 
-from k3bv import (IntegerLattice, Sublattice, check_admissible,
-                  construct_mirror, direct_sum, hyperbolic_plane, k3_lattice,
-                  orthogonal_complement)
+from k3bv import (Sublattice, check_admissible, construct_mirror, direct_sum,
+                  hyperbolic_plane, k3_lattice)
+from k3bv.verify import _k3_setup
 
 
 @pytest.fixture(scope="session")
@@ -29,16 +29,11 @@ def uu_split(UU):
 
 
 @pytest.fixture(scope="session")
-def k3_split(K3):
+def k3_split():
     """M = first U of the K3 lattice; the admissible pair sits in the
     second U with m = 1."""
-    m = Sublattice(K3, ((1,) + (0,) * 21, (0, 1) + (0,) * 20))
-    t = orthogonal_complement(m)
-    # e2, f2 of the ambient lattice, rewritten in T coordinates.
-    from k3bv import coordinates_in
-    e = coordinates_in(t, tuple(1 if i == 2 else 0 for i in range(22)))
-    ep = coordinates_in(t, tuple(1 if i == 3 else 0 for i in range(22)))
-    return m, t, construct_mirror(check_admissible(t, e, ep, 1))
+    _, m, t, split = _k3_setup()
+    return m, t, split
 
 
 def basis_vector(n: int, i: int, c: int = 1) -> tuple:

@@ -11,7 +11,7 @@ from k3bv import (DimensionMismatch, IntegerLattice, NotInLattice, Sublattice,
                   det_and_signature, direct_sum, divisibility, e8_minus,
                   hyperbolic_plane, is_primitive, orthogonal_complement,
                   pairing, same_sublattice, saturation, smith_normal_form)
-from k3bv.lattice import contains, is_saturated
+from k3bv.lattice import contains, coordinates_in, is_saturated
 from k3bv import matrixops as mo
 
 E = (1, 0)
@@ -229,6 +229,14 @@ class TestSublatticeBasics:
         first = Sublattice(UU, ((1, 0, 0, 0), (0, 1, 0, 0)))
         assert contains(first, (3, -2, 0, 0))
         assert not contains(first, (0, 0, 1, 0))
+
+    def test_rank_zero_holds_only_zero(self, U):
+        zero = Sublattice(U, ())
+        assert coordinates_in(zero, (0, 0)) == ()
+        assert coordinates_in(zero, (0, 0), rational=True) == ()
+        assert not contains(zero, (1, 0))
+        with pytest.raises(NotInLattice):
+            coordinates_in(zero, (0, 3), rational=True)
 
     def test_dependent_rows_rejected(self, UU):
         with pytest.raises(DimensionMismatch):

@@ -1,6 +1,7 @@
 """Admissible pairs and the mirror-lattice construction."""
 
 import random
+from itertools import product
 
 import pytest
 
@@ -36,6 +37,22 @@ class TestFindIsotropic:
         lat = IntegerLattice(((2, 0), (0, -2)))
         found = find_isotropic(Sublattice.full(lat), height=1)
         assert sorted(found) == [(1, -1), (1, 1)]
+
+    @pytest.mark.parametrize("height", [1, 2])
+    @pytest.mark.parametrize("gram", [
+        ((0, 1), (1, 0)),
+        ((0, 1, 0, 0), (1, 0, 0, 0), (0, 0, 0, 1), (0, 0, 1, 0)),
+        ((2, 1, 0), (1, 2, 0), (0, 0, 0)),  # positive semidefinite
+        ((2, 0, 0), (0, -2, 0), (0, 0, 0)),  # indefinite and degenerate
+    ])
+    def test_matches_filtered_enumeration(self, gram, height):
+        # The reference walks all (2h+1)^n tuples and keeps those whose
+        # first nonzero coordinate is positive.
+        t = Sublattice.full(IntegerLattice(gram))
+        expected = [c for c in product(range(-height, height + 1), repeat=len(gram))
+                    if any(c) and next(x for x in c if x) > 0 and mo.content(c) == 1
+                    and mo.dot(c, mo.mat_vec(gram, c)) == 0]
+        assert find_isotropic(t, height=height) == expected
 
     def test_sign_dedup_and_primitivity(self, UU):
         found = find_isotropic(Sublattice.full(UU), height=2)
