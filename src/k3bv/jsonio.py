@@ -77,7 +77,7 @@ def lattice_from_json(obj) -> IntegerLattice:
     if not isinstance(obj, dict) or "gram" not in obj:
         raise K3BVError("lattice JSON needs a 'gram' field or a catalog name")
     lat = IntegerLattice(_int_matrix(obj["gram"]))
-    if "rank" in obj and obj["rank"] != lat.rank:
+    if "rank" in obj and int_from_json(obj["rank"]) != lat.rank:
         raise K3BVError(f"declared rank {obj['rank']} does not match Gram size {lat.rank}")
     return lat
 
@@ -116,9 +116,11 @@ def census_from_json(obj) -> FiberCensus:
         records = []
         for rec in obj["fibers"]:
             real = rec.get("real")
+            if not isinstance(rec["fixed"], bool):
+                raise TypeError(f"'fixed' must be true or false, got {rec['fixed']!r}")
             records.append(FiberRecord(
                 KodairaType(rec["kodaira"]),
-                bool(rec["fixed"]),
+                rec["fixed"],
                 RealFiberType(real) if real is not None else None,
             ))
     except (AttributeError, KeyError, TypeError, ValueError) as exc:

@@ -11,13 +11,12 @@ from math import gcd
 
 from . import matrixops as mo
 from .errors import DimensionMismatch, NotInLattice
-from .matrixops import Matrix, Vector, smith_normal_form
+from .matrixops import Matrix, Vector
 from .record import Record
 
 __all__ = [
     "IntegerLattice",
     "Sublattice",
-    "smith_normal_form",
     "pairing",
     "det_and_signature",
     "orthogonal_complement",
@@ -171,18 +170,17 @@ def det_and_signature(lattice: IntegerLattice) -> tuple[int, tuple[int, int, int
 
 
 def orthogonal_complement(s: Sublattice) -> Sublattice:
-    """{v in ambient : v . s = 0 for all s in S}, saturated in the ambient."""
+    """{v in ambient : v . s = 0 for all s in S}, saturated in the ambient,
+    with its basis in Hermite normal form."""
     a = mo.mat_mul(s.basis, s.ambient.gram)
     kernel = mo.integer_kernel(a)
     return Sublattice(s.ambient, kernel)
 
 
 def saturation(s: Sublattice) -> Sublattice:
-    """Smallest primitive sublattice with the same rational span."""
-    snf = smith_normal_form(s.basis)
-    r = snf.rank
-    rinv = mo.integer_inverse(snf.right)
-    return Sublattice(s.ambient, rinv[:r])
+    """Smallest primitive sublattice with the same rational span, with its
+    basis in Hermite normal form."""
+    return Sublattice(s.ambient, mo.saturate(s.basis, s.ambient.rank))
 
 
 def is_saturated(s: Sublattice) -> bool:

@@ -3,8 +3,11 @@
 Matrices are tuples of tuples (rows); vectors are tuples. Entries are
 Python ints or fractions.Fraction. Rank, determinant, solutions and
 inverses all come from one fraction-free (Bareiss) Gauss-Jordan kernel
-over int; a Fraction is built only for a result. Lattice equality uses
-the row Hermite normal form. Ranks in this package never exceed 22.
+over int; a Fraction is built only for a result. Integer kernels,
+saturation and the Smith normal form come from one row Hermite normal
+form routine, and the kernel and saturation bases are returned in Hermite
+normal form, so they are canonical. Lattice equality compares Hermite
+normal forms. Ranks in this package never exceed 22.
 """
 
 from __future__ import annotations
@@ -176,33 +179,31 @@ def rank_rational(a: Matrix) -> int:
     return len(_echelon(a, len(a[0]) if a else 0)[1])
 
 
-def independent_rows(a: Matrix) -> Matrix:
-    """The rows of a that lie outside the rational span of the rows before
-    them: the pivot columns of the transpose."""
-    pivots = _echelon(transpose(a), len(a))[1]
-    return tuple(tuple(a[i]) for i in pivots)
+def _hermite(rows: list[list[int]], ncols: int) -> list[list[int]]:
+    """Row Hermite normal form of the first ncols columns, in place.
 
-
-def hermite_normal_form(a: Matrix) -> Matrix:
-    """Row Hermite normal form of an integer matrix.
-
-    Euclid's algorithm on pairs of rows (unimodular row operations)
-    clears each column below its pivot; pivots are made positive and the
-    entries above them reduced into [0, pivot). Zero rows end up last.
-    Two matrices generate the same lattice exactly when their forms agree
-    (Cohen, Sec. 2.4.2).
+    Euclid's algorithm across rows (unimodular row operations) clears
+    each column below its pivot: the row with the smallest nonzero entry
+    reduces the others until one is left. Taking the smallest entry keeps
+    the carried columns small. Pivots are made positive and the entries
+    above them reduced into [0, pivot). Zero rows end up last. Columns
+    past ncols are carried along, so with an identity appended they
+    record the unimodular transform.
     """
-    rows = [list(row) for row in a]
     r = 0
-    for c in range(len(rows[0]) if rows else 0):
-        if r == len(rows):
-            break
-        for i in range(r + 1, len(rows)):
-            while rows[i][c]:
-                q = rows[r][c] // rows[i][c]
-                rows[r], rows[i] = rows[i], [x - q * y for x, y in zip(rows[r], rows[i])]
-        if rows[r][c] == 0:
+    for c in range(ncols):
+        live = [i for i in range(r, len(rows)) if rows[i][c]]
+        while len(live) > 1:
+            p = min(live, key=lambda i: abs(rows[i][c]))
+            prow, h = rows[p], rows[p][c]
+            for i in live:
+                if i != p:
+                    q = rows[i][c] // h
+                    rows[i] = [x - q * y for x, y in zip(rows[i], prow)]
+            live = [i for i in live if rows[i][c]]
+        if not live:
             continue
+        rows[r], rows[live[0]] = rows[live[0]], rows[r]
         if rows[r][c] < 0:
             rows[r] = [-x for x in rows[r]]
         for i in range(r):
@@ -210,7 +211,34 @@ def hermite_normal_form(a: Matrix) -> Matrix:
             if q:
                 rows[i] = [x - q * y for x, y in zip(rows[i], rows[r])]
         r += 1
-    return freeze(rows)
+    return rows
+
+
+def hermite_normal_form(a: Matrix) -> Matrix:
+    """Row Hermite normal form of an integer matrix. Two matrices generate
+    the same lattice exactly when their forms agree (Cohen, Sec. 2.4.2)."""
+    return freeze(_hermite([list(row) for row in a], len(a[0]) if a else 0))
+
+
+def _kernel(a: Matrix, n: int) -> Matrix:
+    """A basis of {v in Z^n : a v = 0}: the transform rows of the HNF of
+    [a^T | I] whose left part is zero (Cohen, Sec. 2.4.3)."""
+    m = len(a)
+    rows = _hermite([[row[j] for row in a] + [int(i == j) for i in range(n)]
+                     for j in range(n)], m)
+    return tuple(row[m:] for row in rows if not any(row[:m]))
+
+
+def integer_kernel(a: Matrix) -> Matrix:
+    """Basis (rows) of {v in Z^n : a v = 0}, in Hermite normal form; the
+    basis is saturated."""
+    return hermite_normal_form(_kernel(a, len(a[0]) if a else 0))
+
+
+def saturate(rows: Matrix, n: int) -> Matrix:
+    """HNF basis of the integer points of the rational span of rows in Z^n:
+    the kernel of the kernel. The rows need not be independent."""
+    return hermite_normal_form(_kernel(_kernel(rows, n), n))
 
 
 class SmithDecomposition(Record):
@@ -235,101 +263,32 @@ class SmithDecomposition(Record):
 
 
 def smith_normal_form(a: Matrix) -> SmithDecomposition:
-    """Smith normal form of an integer matrix with transform matrices."""
+    """Smith normal form of an integer matrix with transform matrices.
+
+    Row HNFs of [d | left] and of [d^T | right^T] alternate until d is
+    diagonal, its nonzero entries first; where d_i does not divide
+    d_(i+1), column i+1 is added to column i and the loop goes on.
+    """
     m = len(a)
     n = len(a[0]) if m else 0
-    A = [[int(x) for x in row] for row in a]
-    L = [list(row) for row in identity(m)]
-    R = [list(row) for row in identity(n)]
-
-    def swap_rows(i, j):
-        A[i], A[j] = A[j], A[i]
-        L[i], L[j] = L[j], L[i]
-
-    def swap_cols(i, j):
-        for row in A:
-            row[i], row[j] = row[j], row[i]
-        for row in R:
-            row[i], row[j] = row[j], row[i]
-
-    def add_row(dst, src, c):
-        # row dst += c * row src
-        A[dst] = [x + c * y for x, y in zip(A[dst], A[src])]
-        L[dst] = [x + c * y for x, y in zip(L[dst], L[src])]
-
-    def add_col(dst, src, c):
-        for row in A:
-            row[dst] += c * row[src]
-        for row in R:
-            row[dst] += c * row[src]
-
-    def negate_row(i):
-        A[i] = [-x for x in A[i]]
-        L[i] = [-x for x in L[i]]
-
-    t = 0
-    while t < min(m, n):
-        # Find a pivot: the nonzero entry of smallest absolute value.
-        piv = None
-        for i in range(t, m):
-            for j in range(t, n):
-                if A[i][j] != 0 and (piv is None or abs(A[i][j]) < abs(A[piv[0]][piv[1]])):
-                    piv = (i, j)
-        if piv is None:
-            break
-        swap_rows(t, piv[0])
-        swap_cols(t, piv[1])
-        # Clear row and column t; restart whenever a remainder shrinks the pivot.
-        while True:
-            if A[t][t] < 0:
-                negate_row(t)
-            dirty = False
-            for i in range(t + 1, m):
-                if A[i][t] != 0:
-                    q = A[i][t] // A[t][t]
-                    add_row(i, t, -q)
-                    if A[i][t] != 0:
-                        swap_rows(t, i)
-                        dirty = True
-            if dirty:
-                continue
-            for j in range(t + 1, n):
-                if A[t][j] != 0:
-                    q = A[t][j] // A[t][t]
-                    add_col(j, t, -q)
-                    if A[t][j] != 0:
-                        swap_cols(t, j)
-                        dirty = True
-            if dirty:
-                continue
-            # Divisibility: pivot must divide every remaining entry.
-            offender = None
-            for i in range(t + 1, m):
-                for j in range(t + 1, n):
-                    if A[i][j] % A[t][t] != 0:
-                        offender = i
-                        break
-                if offender is not None:
-                    break
-            if offender is None:
-                break
-            add_row(t, offender, 1)
-        t += 1
-    return SmithDecomposition(freeze(L), freeze(A), freeze(R))
-
-
-def integer_kernel(a: Matrix) -> Matrix:
-    """Basis (rows) of {v in Z^n : a v = 0}; the basis is saturated."""
-    m = len(a)
-    n = len(a[0]) if m else 0
-    if n == 0:
-        return ()
-    if m == 0:
-        return identity(n)
-    snf = smith_normal_form(a)
-    r = snf.rank
-    cols = transpose(snf.right)
-    return cols[r:]
+    d = [list(row) for row in a]
+    left = [list(row) for row in identity(m)]
+    right = [list(row) for row in identity(n)]
+    while True:
+        rows = _hermite([d[i] + left[i] for i in range(m)], n)
+        d, left = [row[:n] for row in rows], [row[n:] for row in rows]
+        cols = _hermite([[row[j] for row in d] + [row[j] for row in right]
+                         for j in range(n)], m)
+        d = [[col[i] for col in cols] for i in range(m)]
+        right = [[col[m + i] for col in cols] for i in range(n)]
+        if any(d[i][j] for i in range(m) for j in range(n) if i != j):
+            continue
+        diag = [d[i][i] for i in range(min(m, n)) if d[i][i]]
+        i = next((i for i in range(len(diag) - 1) if diag[i + 1] % diag[i]), None)
+        if i is None:
+            return SmithDecomposition(freeze(left), freeze(d), freeze(right))
+        for row in d + right:
+            row[i] += row[i + 1]
 
 
 def content(v: Vector) -> int:

@@ -16,7 +16,7 @@ from operator import mul
 from . import matrixops as mo
 from .errors import AdmissibilityError, SplittingError
 from .lattice import (IntegerLattice, Sublattice, det_and_signature, divisibility,
-                      is_primitive, pairing, saturation)
+                      is_primitive, pairing)
 from .matrixops import Matrix, Vector
 from .record import Record
 
@@ -158,11 +158,9 @@ def construct_mirror(pair: AdmissiblePair) -> MirrorSplit:
                 "alpha.E' not divisible by m on (ZE)-perp; "
                 "the embedding of M-check into T is not integral")
         image_rows.append(mo.sub_vec(alpha, mo.scale_vec(a_ep // m, e)))
-    # E itself maps to 0; drop dependent rows by saturating the rows that
-    # are independent of the rows before them.
-    independent = mo.independent_rows(image_rows)
-    m_check = saturation(Sublattice(lat, independent)) if independent \
-        else Sublattice(lat, ())
+    # E itself maps to 0, so the image rows are dependent; saturate takes
+    # them as they are.
+    m_check = Sublattice(lat, mo.saturate(image_rows, n))
     p = Sublattice(lat, (e, ep))
 
     _verify_split(lat, p, m_check, m)

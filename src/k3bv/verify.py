@@ -83,17 +83,9 @@ def criterion_2() -> str:
     e2 = coordinates_in(t2, tuple(1 if i == 2 else 0 for i in range(22)))
     e3 = coordinates_in(t2, tuple(1 if i == 3 else 0 for i in range(22)))
     split2 = construct_mirror(check_admissible(t2, e2, e3, 1))
-    gram2 = _normalize_hyperbolic(split2.m_check.gram())
+    gram2 = split2.m_check.gram()
     assert gram2 == m.gram(), f"double-mirror Gram {gram2} != {m.gram()}"
     return "rank 18, |det| match, double mirror recovers M"
-
-
-def _normalize_hyperbolic(gram):
-    """Flip a generator sign if a rank-2 hyperbolic Gram came out negated."""
-    if len(gram) == 2 and gram[0][0] == gram[1][1] == 0 and gram[0][1] < 0:
-        d = -gram[0][1]
-        return ((0, d), (d, 0))
-    return gram
 
 
 def _random_tube_points(split: MirrorSplit, count: int, rng: random.Random,

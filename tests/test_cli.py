@@ -165,6 +165,8 @@ class TestStrictInput:
         '{"gram":[5]}',
         '{bad',
         '[1,',
+        '{"rank":1.0,"gram":[[2]]}',
+        '{"rank":true,"gram":[[2]]}',
     ])
     def test_bad_lattice_spec(self, capsys, spec):
         self.assert_domain_error(capsys, "lattice", "info", "--spec", spec)
@@ -217,3 +219,11 @@ class TestStrictInput:
                                         '{"n": 1, "nprime": 1, "fibers": 5}', '[1]'])
     def test_bad_census_shape(self, capsys, census):
         self.assert_domain_error(capsys, "census", "check", "--census", census)
+
+    @pytest.mark.parametrize("fixed", ["false", 0, 1, None])
+    def test_fixed_must_be_a_json_bool(self, capsys, fixed):
+        census = json.dumps({"n": 1, "nprime": 1, "fibers": (
+            [{"kodaira": "I1", "fixed": False}] * 22
+            + [{"kodaira": "II", "fixed": fixed, "real": "singular_circle"}])})
+        message = self.assert_domain_error(capsys, "census", "check", "--census", census)
+        assert "fixed" in message

@@ -2,14 +2,15 @@
 normal form, complements, saturation, divisibility."""
 
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations, permutations
+from math import gcd
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from k3bv import (DimensionMismatch, IntegerLattice, NotInLattice, Sublattice,
                   det_and_signature, direct_sum, divisibility, e8_minus,
-                  hyperbolic_plane, is_primitive, orthogonal_complement,
+                  hyperbolic_plane, is_primitive, k3_lattice, orthogonal_complement,
                   pairing, same_sublattice, saturation, smith_normal_form)
 from k3bv.lattice import contains, coordinates_in, is_saturated
 from k3bv import matrixops as mo
@@ -140,6 +141,32 @@ class TestSmithNormalForm:
         chain = [d for d in snf.invariants if d != 0]
         assert all(b % a_ == 0 for a_, b in zip(chain, chain[1:]))
 
+    @given(st.integers(0, 4), st.integers(0, 4), st.data())
+    def test_invariants_are_determinantal_divisors(self, m, n, data):
+        # d_1 * ... * d_k is the gcd of the k x k minors.
+        a = tuple(tuple(data.draw(st.integers(-6, 6)) for _ in range(n)) for _ in range(m))
+        snf = smith_normal_form(a)
+        assert len(snf.diag) == m and all(len(row) == n for row in snf.diag)
+        assert all(snf.diag[i][j] == 0 for i in range(m) for j in range(n) if i != j)
+        assert mo.mat_mul(mo.mat_mul(snf.left, a), snf.right) == snf.diag
+        assert abs(mo.bareiss_det(snf.left)) == 1 and abs(mo.bareiss_det(snf.right)) == 1
+        prod = 1
+        for k, d in enumerate(snf.invariants, start=1):
+            prod *= d
+            g = 0
+            for rows in combinations(range(m), k):
+                for cols in combinations(range(n), k):
+                    g = gcd(g, mo.bareiss_det(tuple(tuple(a[i][j] for j in cols)
+                                                    for i in rows)))
+            assert prod == g
+
+    @pytest.mark.parametrize("a", [((), ()), ((0, 0, 0), (0, 0, 0)), ((0, 0),) * 3])
+    def test_shape_kept(self, a):
+        m, n = len(a), len(a[0])
+        snf = smith_normal_form(a)
+        assert snf.diag == mo.zeros(m, n)
+        assert snf.left == mo.identity(m) and snf.right == mo.identity(n)
+
     def test_bareiss_matches_gauss(self):
         a = ((2, -1, 0, 3), (1, 4, -2, 0), (0, 5, 1, -1), (3, 0, 0, 2))
         assert mo.bareiss_det(a) == gauss_det(a)
@@ -183,6 +210,46 @@ class TestSaturation:
         s = Sublattice(UU, ((2, 4, 0, 6), (0, 0, 3, 3)))
         sat = saturation(s)
         assert same_sublattice(sat, saturation(sat))
+
+
+K3_LATTICE = k3_lattice()
+
+
+@st.composite
+def k3_sublattices(draw):
+    """Random sublattices of the K3 lattice of rank 1-14, entries in [-3, 3]."""
+    r = draw(st.integers(1, 14))
+    rows = [draw(st.lists(st.integers(-3, 3), min_size=22, max_size=22)) for _ in range(r)]
+    if mo.rank_rational(rows) < r:
+        # Unit upper-triangular rows are independent and keep the entry range.
+        rows = [[0] * i + [1] + row[i + 1:] for i, row in enumerate(rows)]
+    return Sublattice(K3_LATTICE, rows)
+
+
+class TestHermiteBases:
+    """Complements and saturations come back as saturated canonical HNF
+    bases with bounded entries: an HNF entry is at most the covolume,
+    below (15 * sqrt(22))^14 < 2^87 by Hadamard's inequality."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(k3_sublattices())
+    def test_random_k3_sublattice(self, s):
+        comp = orthogonal_complement(s)
+        sat = saturation(s)
+        assert comp.rank == 22 - s.rank
+        assert not any(any(row) for row in mo.mat_mul(
+            mo.mat_mul(comp.basis, K3_LATTICE.gram), mo.transpose(s.basis)))
+        assert sat.rank == s.rank
+        assert same_sublattice(s, sat) == (smith_normal_form(s.basis).invariants
+                                           == (1,) * s.rank)
+        assert mo.hermite_normal_form(sat.basis + s.basis)[:s.rank] == sat.basis
+        for b in (comp.basis, sat.basis):
+            assert b == mo.hermite_normal_form(b)
+            assert all(d == 1 for d in smith_normal_form(b).invariants)
+            assert all(abs(x) < 2 ** 128 for row in b for x in row)
+
+    def test_index_six_saturates_to_full(self, U):
+        assert saturation(Sublattice(U, ((2, 0), (0, 3)))).basis == mo.identity(2)
 
 
 class TestDivisibilityPrimitivity:

@@ -206,15 +206,8 @@ class TestKernelAgainstReference:
         assert mo.rational_inverse(()) == ()
         assert mo.integer_inverse(()) == ()
         assert mo.bareiss_det(()) == 1
-        assert mo.independent_rows(()) == ()
-
-    @given(matrices())
-    def test_independent_rows_is_the_greedy_choice(self, a):
-        greedy = []
-        for row in a:
-            if ref_rank(greedy + [row]) > len(greedy):
-                greedy.append(tuple(row))
-        assert mo.independent_rows(a) == tuple(greedy)
+        assert mo.integer_kernel(()) == ()
+        assert mo.saturate((), 0) == ()
 
 
 class TestFractionEntryPaths:
@@ -265,6 +258,50 @@ class TestHermiteEquality:
         assert mo.hermite_normal_form(((0, -3), (0, 6))) == ((0, 3), (0, 0))
 
 
+# --- kernels and saturation from the Hermite form ---------------------------
+
+def snf_is_trivial(rows):
+    """A basis spans a saturated lattice exactly when its Smith invariants
+    are all 1."""
+    return all(d == 1 for d in mo.smith_normal_form(rows).invariants)
+
+
+def spans_within(rows, basis):
+    """Every row lies in the Z-span of basis: appending the rows leaves the
+    Hermite form of basis unchanged apart from zero rows."""
+    h = mo.hermite_normal_form(tuple(basis) + tuple(rows))
+    return h[:len(basis)] == tuple(basis) and not any(any(row) for row in h[len(basis):])
+
+
+class TestHermiteKernels:
+    @given(matrices(entries=ints))
+    def test_integer_kernel(self, a):
+        k = mo.integer_kernel(a)
+        assert len(k) == ncols(a) - ref_rank(a)
+        assert all(not any(mo.mat_vec(a, v)) for v in k)
+        assert k == mo.hermite_normal_form(k)
+        assert snf_is_trivial(k)
+
+    @given(matrices(entries=ints), st.integers(1, 3))
+    def test_saturate(self, a, c):
+        n = ncols(a)
+        sat = mo.saturate(a, n)
+        assert len(sat) == ref_rank(a)
+        assert sat == mo.hermite_normal_form(sat)
+        assert snf_is_trivial(sat)
+        assert spans_within(a, sat)
+        assert mo.saturate(tuple(tuple(c * x for x in row) for row in a), n) == sat
+
+    def test_kernel_of_zero_row_is_everything(self):
+        assert mo.integer_kernel(((0, 0, 0),)) == mo.identity(3)
+        assert mo.saturate(((0, 0, 0),), 3) == ()
+        assert mo.saturate((), 2) == ()
+
+    def test_full_rank_saturates_to_identity(self):
+        assert mo.integer_kernel(((2, 0), (0, 3))) == ()
+        assert mo.saturate(((2, 0), (0, 3)), 2) == mo.identity(2)
+
+
 # --- returned bases are pinned -----------------------------------------------
 
 class TestPinnedBases:
@@ -284,5 +321,5 @@ class TestPinnedBases:
             digests.append(hashlib.sha256(
                 repr((split.t.basis, split.m_check.basis)).encode()).hexdigest())
         assert digests == [
-            "6eba7a772a4e9f32d70fc68ca3b55d737af7ce5d02d47f980a91a2445ef6e8c8",
-            "8997281d2b10761927232b1ea26c56afa54b2771c8bdd8657973ab8b6782291f"]
+            "f3e240c62bab08fc502d7106aa3e1a60bc88d2f23f873d04176376fc0edcaedd",
+            "b4b56ac5efa66d755487fa963d9804dbb15ff1b2322f8ba147b908dd18e072bd"]

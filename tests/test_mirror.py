@@ -128,6 +128,13 @@ class TestConstructMirror:
             check_admissible(t, (1, 0, 0, 0), (0, 1, 0, 0), 2))
         assert split.p.gram() == ((0, 2), (2, 0))
 
+    def test_u2_has_empty_m_check(self):
+        # Every image row is zero: E' - E spans nothing beyond P.
+        t = Sublattice.full(hyperbolic_plane(2))
+        split = construct_mirror(check_admissible(t, (1, 0), (0, 1), 2))
+        assert split.m_check.basis == ()
+        assert split.p.basis == ((1, 0), (0, 1))
+
     def test_det_relation(self):
         # |det T| = m^2 |det M_check| for an index-one splitting.
         for m in (1, 2, 3):
