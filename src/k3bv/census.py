@@ -7,6 +7,7 @@ Only counts enter the Euler computation: fixed nodal fibers contribute
 
 from __future__ import annotations
 
+from collections import Counter
 from enum import Enum
 from fractions import Fraction
 
@@ -46,19 +47,26 @@ class FiberRecord(Record):
                 raise CensusError("a fixed II fiber has a singular circle as real part")
 
 
+_KIND = ("kodaira", "fixed", "real_type")
+_CP = (KodairaType.I1, True, RealFiberType.CIRCLE_POINT)
+
+
 class FiberCensus(Record):
+    """Fiber records and (N, N'), with a tally of the records by kind
+    (kodaira, fixed, real_type): at most five kinds, built once."""
+
     records: tuple[FiberRecord, ...]
     bv: BVData
 
     def __post_init__(self):
         object.__setattr__(self, "records", tuple(self.records))
+        object.__setattr__(self, "_tally", Counter(
+            (r.kodaira, r.fixed, r.real_type) for r in self.records))
 
     def count(self, **filters) -> int:
-        out = 0
-        for r in self.records:
-            if all(getattr(r, k) == v for k, v in filters.items()):
-                out += 1
-        return out
+        """Number of records whose fields equal the given values."""
+        return sum(n for kind, n in self._tally.items()
+                   if all(dict(zip(_KIND, kind))[k] == v for k, v in filters.items()))
 
 
 def validate_census(c: FiberCensus) -> FiberCensus:
@@ -68,12 +76,12 @@ def validate_census(c: FiberCensus) -> FiberCensus:
     fixed figure-eight count 2(N'-1)+k for one common k >= 0; non-fixed
     records come in conjugate pairs (even count).
     """
-    n_i1 = c.count(kodaira=KodairaType.I1)
-    n_ii = c.count(kodaira=KodairaType.II)
-    if n_i1 + 2 * n_ii != 24:
-        raise CensusError(f"Euler count violated: #I1 + 2#II = {n_i1 + 2 * n_ii} != 24")
-    cp = c.count(kodaira=KodairaType.I1, fixed=True, real_type=RealFiberType.CIRCLE_POINT)
-    f8 = c.count(kodaira=KodairaType.I1, fixed=True, real_type=RealFiberType.FIGURE_EIGHT)
+    t, i1, ii = c._tally, KodairaType.I1, KodairaType.II
+    cp, f8 = t[_CP], t[i1, True, RealFiberType.FIGURE_EIGHT]
+    free_i1, free_ii = t[i1, False, None], t[ii, False, None]
+    euler = cp + f8 + free_i1 + 2 * (t[ii, True, RealFiberType.SINGULAR_CIRCLE] + free_ii)
+    if euler != 24:
+        raise CensusError(f"Euler count violated: #I1 + 2#II = {euler} != 24")
     k_cp = cp - 2 * (c.bv.n - 1)
     k_f8 = f8 - 2 * (c.bv.n_prime - 1)
     if k_cp != k_f8:
@@ -84,7 +92,7 @@ def validate_census(c: FiberCensus) -> FiberCensus:
         raise CensusError(
             f"too few fixed fibers: need at least 2(N-1) = {2 * (c.bv.n - 1)} "
             f"circle-point and 2(N'-1) = {2 * (c.bv.n_prime - 1)} figure-eight fibers")
-    non_fixed = c.count(fixed=False)
+    non_fixed = free_i1 + free_ii
     if non_fixed % 2 != 0:
         raise CensusError(
             f"{non_fixed} non-fixed fibers: fibers over non-real base points "
@@ -95,8 +103,7 @@ def validate_census(c: FiberCensus) -> FiberCensus:
 def census_slack(c: FiberCensus) -> int:
     """The common k with circle-point count 2(N-1)+k; census must be valid."""
     validate_census(c)
-    cp = c.count(kodaira=KodairaType.I1, fixed=True, real_type=RealFiberType.CIRCLE_POINT)
-    return cp - 2 * (c.bv.n - 1)
+    return c._tally[_CP] - 2 * (c.bv.n - 1)
 
 
 def fiber_contribution(r: FiberRecord) -> int:
@@ -120,12 +127,11 @@ def total_euler(c: FiberCensus) -> int:
 def dualize_census(c: FiberCensus) -> FiberCensus:
     """Swap figure eights with circles plus points and (N, N')."""
     validate_census(c)
-    new_records = tuple(
-        FiberRecord(r.kodaira, r.fixed, real_fiber_dual(r.real_type))
-        if r.fixed and r.kodaira is KodairaType.I1 else r
-        for r in c.records)
-    dual = FiberCensus(new_records, mirror_swap(c.bv))
-    return validate_census(dual)
+    dual = {t: FiberRecord(KodairaType.I1, True, real_fiber_dual(t))
+            for t in (RealFiberType.FIGURE_EIGHT, RealFiberType.CIRCLE_POINT)}
+    new_records = tuple(dual[r.real_type] if r.fixed and r.kodaira is KodairaType.I1 else r
+                        for r in c.records)
+    return validate_census(FiberCensus(new_records, mirror_swap(c.bv)))
 
 
 class BasePoint(Record):

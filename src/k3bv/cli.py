@@ -183,10 +183,26 @@ def _cmd_verify_all(args):
     return 0 if payload["all_passed"] else 1
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reads "--flag -1,0" as "--flag=-1,0": argparse alone takes a spaced
+    value that starts with a single "-" for an option. Every option but
+    --help takes a value."""
+
+    def parse_args(self, args=None, namespace=None):
+        out: list[str] = []
+        for token in sys.argv[1:] if args is None else args:
+            prev = out[-1] if out else ""
+            if token.startswith("-") and not token.startswith("--") and prev.startswith("--") \
+                    and "=" not in prev and not "--help".startswith(prev):
+                out[-1] = f"{prev}={token}"
+            else:
+                out.append(token)
+        return super().parse_args(out, namespace)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="k3bv",
-                                     description="Exact K3 mirror symmetry and "
-                                                 "Borcea-Voisin invariants")
+    parser = _Parser(prog="k3bv",
+                     description="Exact K3 mirror symmetry and Borcea-Voisin invariants")
     sub = parser.add_subparsers(dest="group", required=True)
 
     def add(group_parser, name, fn, table_renderer=None):

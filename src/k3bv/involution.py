@@ -66,13 +66,20 @@ _SINGULAR_TYPES = {RealFiberType.FIGURE_EIGHT, RealFiberType.CIRCLE_POINT,
                    RealFiberType.SINGULAR_CIRCLE}
 
 
+def _exact(rows) -> Matrix:
+    """Entries as Fraction() reads them, kept as int where integral."""
+    return tuple(tuple(f.numerator if f.denominator == 1 else f for f in map(Fraction, row))
+                 for row in rows)
+
+
 class SymplecticSpace(Record):
-    """Even-dimensional rational vector space with a nondegenerate skew form."""
+    """Even-dimensional rational vector space with a nondegenerate skew
+    form; integral entries of the form are held as int."""
 
     form: Matrix
 
     def __post_init__(self):
-        f = mo.freeze((tuple(Fraction(x) for x in row) for row in self.form))
+        f = _exact(self.form)
         object.__setattr__(self, "form", f)
         n = len(f)
         if n == 0 or n % 2 != 0 or any(len(row) != n for row in f):
@@ -154,20 +161,22 @@ def transpose_defect(v: SymplecticSpace, w: SymplecticSpace, phi: Matrix) -> Mat
     transpose identity for anti-symplectic maps.
 
     phi must be invertible and anti-symplectic:
-    phi^T form_W phi = -form_V.
+    phi^T form_W phi = -form_V. With M = phi^T Psi_W the defect is
+    M^{-1} Psi_V + phi, so one fraction-free inverse M^{-1} = Y / d gives
+    it, with one Fraction per entry; integral input stays over int until
+    then.
     """
-    phi = mo.freeze((tuple(Fraction(x) for x in row) for row in phi))
+    phi = _exact(phi)
     if len(phi) != w.dim or any(len(row) != v.dim for row in phi):
         raise DimensionMismatch("phi must map V into W")
-    lhs = mo.mat_mul(mo.mat_mul(mo.transpose(phi), w.form), phi)
+    phi_t = mo.transpose(phi)
     neg_v = tuple(tuple(-x for x in row) for row in v.form)
-    if lhs != neg_v:
+    if mo.mat_mul(mo.mat_mul(phi_t, w.form), phi) != neg_v:
         raise K3BVError("phi is not anti-symplectic: phi^T form_W phi != -form_V")
-    psi_v = mo.transpose(v.form)
-    psi_w_inv = mo.rational_inverse(mo.transpose(w.form))
-    phi_inv_t = mo.transpose(mo.rational_inverse(phi))
-    expr = mo.mat_mul(mo.mat_mul(psi_w_inv, phi_inv_t), psi_v)
-    return tuple(tuple(a + b for a, b in zip(r1, r2)) for r1, r2 in zip(expr, phi))
+    y, d = mo._inverse(mo.mat_mul(phi_t, mo.transpose(w.form)))
+    expr = mo.mat_mul(y, mo.transpose(v.form))
+    return tuple(tuple(Fraction(a, d) + b for a, b in zip(r1, r2))
+                 for r1, r2 in zip(expr, phi))
 
 
 def real_fiber_dual(t: RealFiberType) -> RealFiberType:

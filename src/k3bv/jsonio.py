@@ -96,8 +96,11 @@ def sublattice_from_json(obj) -> Sublattice:
 
 
 def involution_from_json(obj) -> LatticeInvolution:
-    lat = lattice_from_json(obj["lattice"])
-    return LatticeInvolution(lat, _int_matrix(obj["matrix"]))
+    try:
+        lat, matrix = lattice_from_json(obj["lattice"]), _int_matrix(obj["matrix"])
+    except (KeyError, TypeError) as exc:
+        raise K3BVError(f"bad involution JSON: {exc}") from None
+    return LatticeInvolution(lat, matrix)
 
 
 def census_to_json(c: FiberCensus) -> dict:

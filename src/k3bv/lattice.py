@@ -1,12 +1,14 @@
 """Finite-rank integer lattices with symmetric bilinear forms.
 
-All arithmetic is exact: arbitrary-precision integers and
-fractions.Fraction. Values are immutable after construction.
+All arithmetic is exact and runs over int: determinants, inertia and
+canonical forms come from fraction-free elimination, and a Fraction
+appears only in rational coordinates. Values are immutable after
+construction; a Sublattice keeps its row Hermite normal form as its
+canonical key.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd
 
 from . import matrixops as mo
@@ -42,7 +44,7 @@ class IntegerLattice(Record):
             raise DimensionMismatch("Gram matrix must be square")
         if any(not isinstance(x, int) for row in g for x in row):
             raise DimensionMismatch("Gram entries must be integers")
-        if not mo.is_symmetric(g):
+        if mo.transpose(g) != g:
             raise DimensionMismatch("Gram matrix must be symmetric")
 
     @property
@@ -73,8 +75,12 @@ class Sublattice(Record):
             raise DimensionMismatch("generator rows must have ambient rank length")
         if any(not isinstance(x, int) for row in b for x in row):
             raise DimensionMismatch("generator entries must be integers")
-        if mo.rank_rational(b) != len(b):
+        # The row HNF is the canonical key same_sublattice compares; its
+        # last row is zero exactly when the rows are dependent.
+        hnf = mo.hermite_normal_form(b)
+        if hnf and not any(hnf[-1]):
             raise DimensionMismatch("generator rows must be linearly independent over Q")
+        object.__setattr__(self, "_hnf", hnf)
 
     @classmethod
     def full(cls, lattice: IntegerLattice) -> "Sublattice":
@@ -96,13 +102,6 @@ class Sublattice(Record):
     def induced_lattice(self) -> IntegerLattice:
         return IntegerLattice(self.gram())
 
-    def to_ambient(self, coords: Vector) -> Vector:
-        """Map coordinates in this sublattice's basis to ambient coordinates."""
-        if len(coords) != self.rank:
-            raise DimensionMismatch(
-                f"coordinate vector of length {len(coords)} for rank {self.rank}")
-        return mo.vec_mat(tuple(coords), self.basis)
-
     def compose(self, inner: "Sublattice") -> "Sublattice":
         """Reinterpret a sublattice given in this sublattice's coordinates
         as a sublattice of the ambient lattice."""
@@ -120,53 +119,41 @@ def det_and_signature(lattice: IntegerLattice) -> tuple[int, tuple[int, int, int
     """Exact determinant and inertia (positive, negative, zero counts).
 
     The determinant uses fraction-free Bareiss elimination. The inertia
-    comes from symmetric congruence diagonalization over Q; when every
-    remaining diagonal entry is zero but some off-diagonal a_ij is not,
-    the basis change e_i <- e_i + e_j exposes a nonzero diagonal entry
-    (this handles hyperbolic blocks exactly).
+    comes from fraction-free symmetric elimination over int: a nonzero
+    diagonal pivot p is split off and the rest replaced by
+    |p| g_rc - sign(p) g_rk g_kc divided by its content, a positive
+    multiple of the Schur complement, so the inertia is kept. When every
+    diagonal entry is zero but some g_ij is not, the congruence
+    e_i <- e_i + e_j makes g_ii = 2 g_ij (this handles hyperbolic blocks).
     """
-    n = lattice.rank
     det = mo.bareiss_det(lattice.gram)
-    g = [[Fraction(x) for x in row] for row in lattice.gram]
-    pos = neg = zero = 0
-    for k in range(n):
-        if g[k][k] == 0:
-            # Prefer a later nonzero diagonal entry.
-            swap = next((l for l in range(k + 1, n) if g[l][l] != 0), None)
-            if swap is not None:
-                g[k], g[swap] = g[swap], g[k]
-                for row in g:
-                    row[k], row[swap] = row[swap], row[k]
-            else:
-                # All diagonals zero: look for an off-diagonal entry.
-                pair = next(((i, j) for i in range(k, n) for j in range(i + 1, n)
-                             if g[i][j] != 0), None)
-                if pair is None:
-                    zero += n - k
-                    break
-                i, j = pair
-                # e_i <- e_i + e_j, a symmetric congruence.
-                for c in range(n):
-                    g[i][c] += g[j][c]
-                for r in range(n):
-                    g[r][i] += g[r][j]
-                if i != k:
-                    g[k], g[i] = g[i], g[k]
-                    for row in g:
-                        row[k], row[i] = row[i], row[k]
+    g = [list(row) for row in lattice.gram]
+    pos = neg = 0
+    while g:
+        n = len(g)
+        k = next((i for i in range(n) if g[i][i]), None)
+        if k is None:
+            pair = next(((i, j) for i in range(n) for j in range(i + 1, n) if g[i][j]), None)
+            if pair is None:
+                break
+            k, j = pair
+            g[k] = [x + y for x, y in zip(g[k], g[j])]
+            for row in g:
+                row[k] += row[j]
         p = g[k][k]
         if p > 0:
             pos += 1
         else:
             neg += 1
-        for r in range(k + 1, n):
-            if g[r][k] != 0:
-                f = g[r][k] / p
-                for c in range(n):
-                    g[r][c] -= f * g[k][c]
-                for c in range(n):
-                    g[c][r] -= f * g[c][k]
-    return det, (pos, neg, zero)
+        pk = g.pop(k)
+        del pk[k]
+        rest = []
+        for row in g:
+            f = row.pop(k) if p > 0 else -row.pop(k)
+            rest.append([abs(p) * x - f * y for x, y in zip(row, pk)])
+        c = gcd(*(x for row in rest for x in row))
+        g = [[x // c for x in row] for row in rest] if c > 1 else rest
+    return det, (pos, neg, len(g))
 
 
 def orthogonal_complement(s: Sublattice) -> Sublattice:
@@ -201,13 +188,9 @@ def coordinates_in(s: Sublattice, v: Vector, rational: bool = False) -> Vector:
         raise NotInLattice("vector is not in the rational span of the sublattice")
     if rational:
         return sol
-    coords = []
-    for x in sol:
-        f = Fraction(x)
-        if f.denominator != 1:
-            raise NotInLattice("vector is in the rational span but not in the sublattice")
-        coords.append(int(f))
-    return tuple(coords)
+    if any(x.denominator != 1 for x in sol):
+        raise NotInLattice("vector is in the rational span but not in the sublattice")
+    return tuple(x.numerator for x in sol)
 
 
 def contains(s: Sublattice, v: Vector) -> bool:
@@ -219,11 +202,9 @@ def contains(s: Sublattice, v: Vector) -> bool:
 
 
 def same_sublattice(a: Sublattice, b: Sublattice) -> bool:
-    """Equality as subsets of the common ambient lattice: the bases have
-    the same row Hermite normal form."""
-    if a.ambient != b.ambient or a.rank != b.rank:
-        return False
-    return mo.hermite_normal_form(a.basis) == mo.hermite_normal_form(b.basis)
+    """Equality as subsets of the common ambient lattice: the cached row
+    Hermite normal forms agree."""
+    return a.ambient == b.ambient and a._hnf == b._hnf
 
 
 def divisibility(s: Sublattice, v: Vector) -> int:
@@ -231,10 +212,7 @@ def divisibility(s: Sublattice, v: Vector) -> int:
     if all(x == 0 for x in v):
         raise NotInLattice("divisibility of the zero vector is undefined")
     coordinates_in(s, v)  # membership check
-    g = 0
-    for w in s.basis:
-        g = gcd(g, abs(pairing(s.ambient, tuple(v), w)))
-    return g
+    return gcd(*(pairing(s.ambient, tuple(v), w) for w in s.basis))
 
 
 def is_primitive(s: Sublattice, v: Vector) -> bool:
@@ -247,10 +225,5 @@ def is_primitive(s: Sublattice, v: Vector) -> bool:
 
 def direct_sum(a: IntegerLattice, b: IntegerLattice) -> IntegerLattice:
     """Orthogonal direct sum, block-diagonal Gram."""
-    na, nb = a.rank, b.rank
-    rows = []
-    for i in range(na):
-        rows.append(tuple(a.gram[i]) + (0,) * nb)
-    for i in range(nb):
-        rows.append((0,) * na + tuple(b.gram[i]))
-    return IntegerLattice(tuple(rows))
+    return IntegerLattice(tuple(row + (0,) * b.rank for row in a.gram)
+                          + tuple((0,) * a.rank + row for row in b.gram))

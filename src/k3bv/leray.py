@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from . import matrixops as mo
 from .cnum import QC
 from .domains import TubePoint, in_tube
 from .errors import K3BVError

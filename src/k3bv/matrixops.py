@@ -78,10 +78,6 @@ def sub_vec(v: Vector, w: Vector) -> Vector:
     return add_vec(v, scale_vec(-1, w))
 
 
-def is_symmetric(a: Matrix) -> bool:
-    return all(a[i][j] == a[j][i] for i in range(len(a)) for j in range(i))
-
-
 def bareiss_det(a: Matrix) -> int:
     """Exact determinant of an integer matrix: the last pivot of the
     fraction-free elimination, zero when a pivot is missing."""
@@ -292,7 +288,4 @@ def smith_normal_form(a: Matrix) -> SmithDecomposition:
 
 
 def content(v: Vector) -> int:
-    g = 0
-    for x in v:
-        g = gcd(g, abs(int(x)))
-    return g
+    return gcd(*map(int, v))

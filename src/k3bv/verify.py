@@ -16,17 +16,15 @@ from . import matrixops as mo
 from .bv import BVData, euler_characteristic, hodge_numbers, mirror_swap
 from .catalog import hyperbolic_plane, k3_lattice
 from .census import (BasePoint, FiberCensus, FiberRecord, KodairaType,
-                     base_embed, census_slack, dualize_census, total_euler,
-                     validate_census)
+                     base_embed, dualize_census, total_euler, validate_census)
 from .cnum import QC
 from .domains import TubePoint, in_primed, in_tube
 from .errors import K3BVError
 from .involution import (LatticeInvolution, RealFiberType, SymplecticSpace,
-                         transpose_defect)
-from .involution import invariant_sublattices, mirror_involution
+                         invariant_sublattices, mirror_involution, transpose_defect)
 from .lattice import (IntegerLattice, Sublattice, coordinates_in,
                       det_and_signature, direct_sum, orthogonal_complement,
-                      pairing, same_sublattice, saturation)
+                      same_sublattice, saturation)
 from .leray import (bv_mirror_period, bv_table, check_degeneration,
                     elliptic_table, k3_table, recover_period_inputs,
                     swap_rows, y_betti)
@@ -203,7 +201,6 @@ def _random_symplectic(space: SymplecticSpace, rng: random.Random):
 def criterion_6() -> str:
     """Transpose identity for anti-symplectic maps (200 cases, dims 2,4,6)."""
     rng = random.Random(SEED + 2)
-    cases = 0
     for dim, reps in ((2, 67), (4, 67), (6, 66)):
         space = SymplecticSpace.standard(dim)
         k = dim // 2
@@ -215,8 +212,6 @@ def criterion_6() -> str:
             anti = mo.mat_mul(mo.mat_mul(u, seed_map), v)
             defect = transpose_defect(space, space, anti)
             assert all(x == 0 for row in defect for x in row), "nonzero defect"
-            cases += 1
-    assert cases == 200
     return "200 anti-symplectic maps in dims 2, 4, 6: defect = 0"
 
 

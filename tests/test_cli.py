@@ -4,7 +4,9 @@ import json
 
 import pytest
 
+from k3bv import K3BVError
 from k3bv.cli import run
+from k3bv.jsonio import involution_from_json
 
 UU_JSON = ('{"ambient":{"gram":[[0,1,0,0],[1,0,0,0],[0,0,0,1],[0,0,1,0]]},'
            '"basis":[[1,0,0,0],[0,1,0,0],[0,0,1,0],[0,0,0,1]]}')
@@ -64,6 +66,15 @@ class TestMirrorRoundTrip:
                            "--im=" + ",".join(period["im"]))
         assert code == 0
         assert json.loads(out) == {"b": ["1/2", "0"], "omega": ["1", "1"]}
+
+    def test_spaced_negative_coordinates(self, capsys):
+        # A spaced value that starts with "-" is a value, not an option.
+        spaced = invoke(capsys, "mirror", "construct", "--lattice", UU_JSON,
+                        "--e", "-1,0,0,0", "--eprime", "0,-1,0,0", "--m", "1")
+        joined = invoke(capsys, "mirror", "construct", "--lattice", UU_JSON,
+                        "--e=-1,0,0,0", "--eprime=0,-1,0,0", "--m", "1")
+        assert spaced[0] == 0
+        assert spaced == joined
 
     def test_inadmissible_input(self, capsys):
         code, out = invoke(capsys, "mirror", "construct", "--lattice", UU_JSON,
@@ -219,6 +230,11 @@ class TestStrictInput:
                                         '{"n": 1, "nprime": 1, "fibers": 5}', '[1]'])
     def test_bad_census_shape(self, capsys, census):
         self.assert_domain_error(capsys, "census", "check", "--census", census)
+
+    @pytest.mark.parametrize("obj", ["x", [1], {}, {"lattice": "U"}])
+    def test_bad_involution_json(self, obj):
+        with pytest.raises(K3BVError, match="bad involution JSON"):
+            involution_from_json(obj)
 
     @pytest.mark.parametrize("fixed", ["false", 0, 1, None])
     def test_fixed_must_be_a_json_bool(self, capsys, fixed):

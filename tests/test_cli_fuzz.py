@@ -123,7 +123,8 @@ def argvs(draw):
     for flag in sorted(options):
         if draw(st.integers(0, 19)):  # most flags are given, some are missing
             value = draw(options[flag])
-            # The joined form also passes values that start with "-".
+            # Both forms pass values that start with "-"; the parser joins
+            # a spaced one to its flag.
             argv += [f"{flag}={value}"] if draw(st.booleans()) else [flag, value]
     if draw(st.integers(0, 9)) == 0:
         argv.insert(draw(st.integers(0, len(argv))), draw(st.text(max_size=6)))

@@ -77,7 +77,46 @@ class TestPairing:
         assert pairing(lat, v, w) == pairing(lat, w, v)
 
 
+@st.composite
+def congruent_grams(draw):
+    """(G, D, inertia of D): D a direct sum of nonzero diagonal entries of
+    both signs, zeros and U(m) blocks; G = A^T D A for a unimodular A made
+    from elementary operations, so G is dense."""
+    blocks = draw(st.lists(st.sampled_from(["pos", "neg", "zero", "U"]), max_size=8))
+    n = sum(2 if b == "U" else 1 for b in blocks)
+    d = [[0] * n for _ in range(n)]
+    i = 0
+    for b in blocks:
+        if b == "U":
+            d[i][i + 1] = d[i + 1][i] = draw(st.integers(1, 4))
+            i += 2
+            continue
+        if b != "zero":
+            d[i][i] = draw(st.integers(1, 5)) * (1 if b == "pos" else -1)
+        i += 1
+    inertia = (blocks.count("pos") + blocks.count("U"),
+               blocks.count("neg") + blocks.count("U"), blocks.count("zero"))
+    a = [list(row) for row in mo.identity(n)]
+    for _ in range(draw(st.integers(0, 4 * n)) if n > 1 else 0):
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        if i == j:
+            a[i] = [-x for x in a[i]]
+        else:
+            c = draw(st.integers(-3, 3))
+            a[i] = [x + c * y for x, y in zip(a[i], a[j])]
+    g = mo.mat_mul(mo.mat_mul(mo.transpose(a), mo.freeze(d)), mo.freeze(a))
+    return g, mo.freeze(d), inertia
+
+
 class TestDetAndSignature:
+    @settings(max_examples=150, deadline=None)
+    @given(congruent_grams())
+    def test_sylvester_law_on_dense_congruent_grams(self, case):
+        g, d, inertia = case
+        det, sig = det_and_signature(IntegerLattice(g))
+        assert sig == inertia
+        assert det == mo.bareiss_det(g) == mo.bareiss_det(d)
+
     @pytest.mark.parametrize("m", [1, 2, 3, 7])
     def test_hyperbolic(self, m):
         det, sig = det_and_signature(hyperbolic_plane(m))
@@ -308,6 +347,10 @@ class TestSublatticeBasics:
     def test_dependent_rows_rejected(self, UU):
         with pytest.raises(DimensionMismatch):
             Sublattice(UU, ((1, 0, 0, 0), (2, 0, 0, 0)))
+        with pytest.raises(DimensionMismatch):
+            Sublattice(UU, ((1, 0, 1, 0), (0, 1, 0, 1), (1, 1, 1, 1)))
+        with pytest.raises(DimensionMismatch):
+            Sublattice(UU, ((1, 0, 0, 0), (0, 0, 0, 0)))
 
     def test_induced_gram(self, UU):
         diag = Sublattice(UU, ((1, 1, 0, 0), (0, 0, 1, -1)))

@@ -225,6 +225,18 @@ class TestFractionEntryPaths:
         phi = ((3, 1), (Fraction(1, 3), Fraction(-2, 9)))
         assert transpose_defect(v, v, phi) == ((0, 0), (0, 0))
 
+    def test_float_form_entries_read_exactly(self):
+        half = Fraction(1, 2)
+        assert SymplecticSpace(((0, 0.5), (-0.5, 0))) == SymplecticSpace(((0, half), (-half, 0)))
+        form = SymplecticSpace(((0, 1.0), (-1.0, 0))).form
+        assert form == ((0, 1), (-1, 0)) and all(type(x) is int for row in form for x in row)
+
+    def test_transpose_defect_with_float_entry(self):
+        # det(phi) = -1, so phi is anti-symplectic for the standard form.
+        phi = ((1, 0), (0.5, -1))
+        assert transpose_defect(SymplecticSpace.standard(2), SymplecticSpace.standard(2),
+                                phi) == ((0, 0), (0, 0))
+
 
 # --- Hermite-form equality ---------------------------------------------------
 
