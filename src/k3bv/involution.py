@@ -13,8 +13,7 @@ from fractions import Fraction
 
 from . import matrixops as mo
 from .errors import DimensionMismatch, K3BVError
-from .lattice import (IntegerLattice, Sublattice, orthogonal_complement,
-                      same_sublattice, saturation)
+from .lattice import IntegerLattice, Sublattice, same_sublattice, saturation
 from .matrixops import Matrix, Vector
 from .mirror import MirrorSplit
 from .record import Record
@@ -123,18 +122,25 @@ def invariant_sublattices(rho: LatticeInvolution) -> tuple[Sublattice, Sublattic
 def reflection_through(p_in_l: Sublattice) -> Matrix:
     """r_P: identity on P, minus identity on the complement of P in L.
 
-    Integral only when L = P + P-perp integrally; raised otherwise.
+    With B the basis of P and G the form of L, the projection onto P is
+    B^T C with C = G_P^-1 B G, so r_P = 2 B^T C - I. C is integral exactly
+    when L = P + P-perp integrally; a singular G_P or a fractional C is
+    raised.
     """
-    perp = orthogonal_complement(p_in_l)
-    columns = mo.transpose(p_in_l.basis + perp.basis)
-    det = mo.bareiss_det(columns)
-    if abs(det) != 1:
+    b = p_in_l.basis
+    n = p_in_l.ambient.rank
+    try:
+        y, d = mo._inverse(p_in_l.gram())
+    except DimensionMismatch:
+        y, d = (), 0
+    dc = mo.mat_mul(mo.mat_mul(y, b), p_in_l.ambient.gram)
+    if d == 0 or any(x % d for row in dc for x in row):
         raise K3BVError(
             "L does not split integrally as P + P-perp; r_P is not integral")
-    n = p_in_l.ambient.rank
-    signs = tuple(tuple((1 if i < p_in_l.rank else -1) if i == j else 0 for j in range(n))
-                  for i in range(n))
-    return mo.mat_mul(mo.mat_mul(columns, signs), mo.integer_inverse(columns))
+    c = [[x // d for x in row] for row in dc]
+    proj = mo.mat_mul(mo.transpose(b), c) if b else mo.zeros(n, n)
+    return tuple(tuple(2 * x - (i == j) for j, x in enumerate(row))
+                 for i, row in enumerate(proj))
 
 
 def mirror_involution(rho: LatticeInvolution, split: MirrorSplit) -> LatticeInvolution:

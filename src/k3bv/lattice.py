@@ -158,7 +158,10 @@ def det_and_signature(lattice: IntegerLattice) -> tuple[int, tuple[int, int, int
 
 def orthogonal_complement(s: Sublattice) -> Sublattice:
     """{v in ambient : v . s = 0 for all s in S}, saturated in the ambient,
-    with its basis in Hermite normal form."""
+    with its basis in Hermite normal form. The zero sublattice has the
+    whole ambient as its complement."""
+    if not s.basis:
+        return Sublattice.full(s.ambient)
     a = mo.mat_mul(s.basis, s.ambient.gram)
     kernel = mo.integer_kernel(a)
     return Sublattice(s.ambient, kernel)

@@ -4,7 +4,8 @@ Everything here works in the coordinates of the transcendental lattice
 T, handed in as a Sublattice; its induced Gram matrix is the form used
 throughout. Admissibility is decided by exact divisibility arithmetic
 rather than vector search, since the pairing values of a lattice vector
-form div(E) * Z.
+form div(E) * Z. M-check is the orthogonal complement of P = ZE + ZE'
+in T, and every split T = P + M-check is certified to have index one.
 """
 
 from __future__ import annotations
@@ -14,9 +15,8 @@ from itertools import product
 from operator import mul
 
 from . import matrixops as mo
-from .errors import AdmissibilityError, SplittingError
-from .lattice import (IntegerLattice, Sublattice, det_and_signature, divisibility,
-                      is_primitive, pairing)
+from .errors import AdmissibilityError, NotInLattice, SplittingError
+from .lattice import IntegerLattice, Sublattice, det_and_signature, orthogonal_complement
 from .matrixops import Matrix, Vector
 from .record import Record
 
@@ -57,7 +57,7 @@ class MirrorSplit(Record):
     def _inverse_columns(self) -> Matrix:
         """Columns of the inverse of the basis (E, E', M-check) of T.
 
-        construct_mirror certified the split to have index one, so this
+        construct_mirror certified |det(E, E', M-check)| = 1, so this
         basis is unimodular and its inverse is integral. Computed on first
         use, so building a split does not pay for it.
         """
@@ -97,34 +97,37 @@ def find_isotropic(t: Sublattice, height: int = 3) -> list[Vector]:
 def check_admissible(t: Sublattice, e: Vector, e_prime: Vector, m: int) -> AdmissiblePair:
     """Validate (E, E', m); each failing condition is reported distinctly.
 
+    E and E' are integer vectors in T coordinates, so E is primitive when
+    its entries are coprime, and its divisibility is the content of G E.
     The no-small-pairing condition is decided as divisibility(E) >= m;
     E.E' = m then forces divisibility exactly m.
     """
     if m < 1:
         raise AdmissibilityError(f"m must be a positive integer, got {m}")
     lat = t.induced_lattice()
-    full = Sublattice.full(lat)
-    e = tuple(e)
-    e_prime = tuple(e_prime)
-    ee = pairing(lat, e, e)
+    e, e_prime = lat.check_vector(e), lat.check_vector(e_prime)
+    ge, gep = mo.mat_vec(lat.gram, e), mo.mat_vec(lat.gram, e_prime)
+    ee = mo.dot(e, ge)
     if ee != 0:
         raise AdmissibilityError(f"E is not isotropic: E.E = {ee}")
-    epep = pairing(lat, e_prime, e_prime)
+    epep = mo.dot(e_prime, gep)
     if epep != 0:
         raise AdmissibilityError(f"E' is not isotropic: E'.E' = {epep}")
-    eep = pairing(lat, e, e_prime)
+    eep = mo.dot(e, gep)
     if eep != m:
         raise AdmissibilityError(f"E.E' = {eep}, expected m = {m}")
-    if not is_primitive(full, e):
+    if any(not isinstance(x, int) for x in e + e_prime):
+        raise NotInLattice("E and E' must be integer vectors of T")
+    if mo.content(e) != 1:
         raise AdmissibilityError("E is not primitive in T")
-    if not is_primitive(full, e_prime):
+    if mo.content(e_prime) != 1:
         raise AdmissibilityError("E' is not primitive in T")
-    de = divisibility(full, e)
+    de = mo.content(ge)
     if de != m:
         raise AdmissibilityError(
             f"divisibility of E in T is {de}, expected m = {m}: "
             "some alpha in T has 0 < alpha.E < m")
-    dep = divisibility(full, e_prime)
+    dep = mo.content(gep)
     if dep != m:
         raise AdmissibilityError(
             f"divisibility of E' in T is {dep}, expected m = {m}: "
@@ -133,54 +136,37 @@ def check_admissible(t: Sublattice, e: Vector, e_prime: Vector, m: int) -> Admis
 
 
 def construct_mirror(pair: AdmissiblePair) -> MirrorSplit:
-    """Build M-check as the image of (ZE)-perp under a -> a - (a.E'/m) E.
+    """Build M-check as the orthogonal complement of P = ZE + ZE' in T.
 
-    The image is saturated in T, and the splitting T = P + M-check is
-    certified to have index one via |det P| * |det M-check| = |det T|.
-    A failure of that identity means the two formulations of
-    admissibility disagree for this input; the input is rejected.
+    The paper's M-check is the image of (ZE)-perp under
+    a -> a - (a.E'/m) E. That map fixes P-perp and sends (ZE)-perp into
+    P-perp, so for an admissible pair the image is exactly P-perp.
+    The splitting T = P + M-check is certified to have index one by
+    |det(E, E', M-check)| = 1, together with det T = -m^2 det M-check.
+    An input failing either is rejected.
     """
-    t = pair.t
-    lat = t.induced_lattice()
-    n = lat.rank
-    gram = lat.gram
-    e, ep, m = pair.e, pair.e_prime, pair.m
-
-    # (ZE)-perp inside T: integer kernel of the single pairing condition.
-    row_e = mo.mat_vec(gram, e)
-    perp = mo.integer_kernel((row_e,))
-
-    image_rows = []
-    for alpha in perp:
-        a_ep = mo.dot(alpha, mo.mat_vec(gram, ep))
-        if a_ep % m != 0:
-            raise SplittingError(
-                "alpha.E' not divisible by m on (ZE)-perp; "
-                "the embedding of M-check into T is not integral")
-        image_rows.append(mo.sub_vec(alpha, mo.scale_vec(a_ep // m, e)))
-    # E itself maps to 0, so the image rows are dependent; saturate takes
-    # them as they are.
-    m_check = Sublattice(lat, mo.saturate(image_rows, n))
-    p = Sublattice(lat, (e, ep))
-
-    _verify_split(lat, p, m_check, m)
-    return MirrorSplit(pair, p, m_check, mo.sub_vec(ep, e))
+    lat = pair.t.induced_lattice()
+    p = Sublattice(lat, (pair.e, pair.e_prime))
+    m_check = orthogonal_complement(p)
+    _verify_split(lat, p, m_check, pair.m)
+    return MirrorSplit(pair, p, m_check, mo.sub_vec(pair.e_prime, pair.e))
 
 
 def _verify_split(lat: IntegerLattice, p: Sublattice, m_check: Sublattice, m: int):
     gram_p = p.gram()
     if gram_p != ((0, m), (m, 0)):
         raise SplittingError(f"P has Gram {gram_p}, expected U({m})")
-    for row_p in p.basis:
-        for row_m in m_check.basis:
-            if pairing(lat, row_p, row_m) != 0:
-                raise SplittingError("P and M-check are not orthogonal")
+    cross = mo.mat_mul(mo.mat_mul(p.basis, lat.gram), mo.transpose(m_check.basis))
+    if any(x for row in cross for x in row):
+        raise SplittingError("P and M-check are not orthogonal")
     if p.rank + m_check.rank != lat.rank:
         raise SplittingError("rank(P) + rank(M-check) != rank(T)")
-    det_t = mo.bareiss_det(lat.gram)
-    combined: Matrix = p.basis + m_check.basis
-    det_split = mo.bareiss_det(
-        mo.mat_mul(mo.mat_mul(combined, lat.gram), mo.transpose(combined)))
-    if det_split != det_t:
+    index = abs(mo.bareiss_det(p.basis + m_check.basis))
+    if index != 1:
         raise SplittingError(
-            f"splitting index is not 1: det(P + M-check) = {det_split}, det(T) = {det_t}")
+            f"splitting index is not 1: |det(E, E', M-check)| = {index}")
+    det_t = mo.bareiss_det(lat.gram)
+    det_mc = mo.bareiss_det(m_check.gram())
+    if det_t != -m * m * det_mc:
+        raise SplittingError(
+            f"det T = {det_t}, but -m^2 det M-check = {-m * m * det_mc}")

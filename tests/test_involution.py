@@ -2,6 +2,7 @@
 identity, and real fiber dualization."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from k3bv import (K3BVError, LatticeInvolution, RealFiberType, Sublattice,
                   SymplecticSpace, coordinates_in, invariant_sublattices,
@@ -146,3 +147,66 @@ class TestRealFiberDual:
         for t in (RealFiberType.FIGURE_EIGHT, RealFiberType.CIRCLE_POINT,
                   RealFiberType.SINGULAR_CIRCLE):
             assert real_fiber_dual(real_fiber_dual(t)) is t
+
+
+class TestReflectionThrough:
+    def test_zero_sublattice_gives_minus_identity(self, K3):
+        r = reflection_through(Sublattice(K3, ()))
+        assert r == tuple(tuple(-x for x in row) for row in mo.identity(22))
+
+    def test_full_sublattice_gives_identity(self, UU):
+        assert reflection_through(Sublattice.full(UU)) == mo.identity(4)
+
+    @pytest.mark.parametrize("row", [(1, -1, 0, 0), (1, 0, 0, 0)],
+                             ids=["minus_two_root", "isotropic"])
+    def test_non_splitting_line_rejected(self, UU, row):
+        # A -2 root gives C = G_P^-1 B G with entries 1/2; an isotropic
+        # vector has G_P = 0.
+        with pytest.raises(K3BVError, match="not integral"):
+            reflection_through(Sublattice(UU, (row,)))
+
+
+def reference_reflection(p):
+    """r_P from the basis of P followed by a basis of its complement:
+    columns * diag(1, ..., -1, ...) * columns^-1."""
+    perp = orthogonal_complement(p)
+    columns = mo.transpose(p.basis + perp.basis)
+    if abs(mo.bareiss_det(columns)) != 1:
+        raise K3BVError("L does not split integrally as P + P-perp")
+    n = len(columns)
+    signs = tuple(tuple((1 if i < p.rank else -1) if i == j else 0 for j in range(n))
+                  for i in range(n))
+    return mo.mat_mul(mo.mat_mul(columns, signs), mo.integer_inverse(columns))
+
+
+K3_UNIT = mo.identity(22)
+# Norm -2 vectors of the K3 lattice: e_i - f_i in each U, the E8 simple
+# roots, and U vectors plus an E8 root, which mix the blocks.
+K3_ROOTS = ([mo.sub_vec(K3_UNIT[i], K3_UNIT[i + 1]) for i in (0, 2, 4)]
+            + [K3_UNIT[i] for i in range(6, 22)]
+            + [mo.add_vec(K3_UNIT[i], K3_UNIT[j]) for i, j in ((0, 6), (3, 15), (5, 20))])
+# Sublattices to conjugate: the second U (P of the catalog split), U + U,
+# U + E8, and the non-unimodular span(e2, 2 f2) and span(e2 + f2).
+K3_PIECES = (K3_UNIT[2:4], K3_UNIT[:4], K3_UNIT[2:4] + K3_UNIT[6:14],
+             (K3_UNIT[2], mo.scale_vec(2, K3_UNIT[3])), (mo.add_vec(K3_UNIT[2], K3_UNIT[3]),))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.sampled_from(K3_ROOTS), min_size=1, max_size=12),
+       st.sampled_from(K3_PIECES))
+def test_reflection_matches_complement_formula(roots, piece):
+    k3 = k3_lattice()
+
+    def g(x):
+        for r in roots:
+            x = mo.add_vec(x, mo.scale_vec(mo.dot(x, mo.mat_vec(k3.gram, r)), r))
+        return x
+
+    p = Sublattice(k3, tuple(g(row) for row in piece))
+    try:
+        expected = reference_reflection(p)
+    except K3BVError:
+        with pytest.raises(K3BVError):
+            reflection_through(p)
+        return
+    assert reflection_through(p) == expected

@@ -234,6 +234,11 @@ class TestOrthogonalComplement:
         s = Sublattice(K3, ((1,) + (0,) * 21, (0, 1) + (0,) * 20))
         assert s.rank + orthogonal_complement(s).rank == K3.rank
 
+    def test_zero_sublattice_has_full_complement(self, K3):
+        comp = orthogonal_complement(Sublattice(K3, ()))
+        assert comp.rank == 22
+        assert same_sublattice(comp, Sublattice.full(K3))
+
 
 class TestSaturation:
     @pytest.mark.parametrize("gens,expected", [

@@ -1,14 +1,16 @@
 """Admissible pairs and the mirror-lattice construction."""
 
 import random
+from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from k3bv import (AdmissibilityError, IntegerLattice, Sublattice,
-                  check_admissible, construct_mirror, det_and_signature,
-                  direct_sum, e8_minus, find_isotropic, hyperbolic_plane,
-                  pairing, same_sublattice)
+from k3bv import (AdmissibilityError, AdmissiblePair, IntegerLattice, NotInLattice,
+                  SplittingError, Sublattice, check_admissible, construct_mirror,
+                  det_and_signature, direct_sum, e8_minus, find_isotropic,
+                  hyperbolic_plane, pairing, same_sublattice)
 from k3bv import matrixops as mo
 
 
@@ -174,3 +176,73 @@ class TestConstructMirror:
             for m_row in split.m_check.basis:
                 assert pairing(lat, p_row, m_row) == 0
         assert split.p.rank + split.m_check.rank == t.rank
+
+
+class TestSplitCertificate:
+    """Hand-built pairs that skip check_admissible must still fail the
+    index-one certificate."""
+
+    def test_degenerate_t_index_two(self):
+        # det T = 0, so det(P + M-check) = det T holds trivially, but
+        # |det(E, E', M-check)| = 2.
+        t = Sublattice.full(IntegerLattice(((2, 1, 1), (1, 0, 1), (1, 1, 0))))
+        pair = AdmissiblePair(t, (0, 1, 0), (1, -1, 1), 2)
+        with pytest.raises(SplittingError, match="index is not 1"):
+            construct_mirror(pair)
+
+    def test_e_prime_of_divisibility_one(self, UU):
+        # E' pairs to 1 with f2, so T is not ZE + ZE' + P-perp.
+        pair = AdmissiblePair(Sublattice.full(UU), (1, 0, 0, 0), (0, 2, 1, 0), 2)
+        with pytest.raises(SplittingError):
+            construct_mirror(pair)
+
+
+def test_rational_coordinates_rejected(UU):
+    with pytest.raises(NotInLattice):
+        check_admissible(Sublattice.full(UU), (Fraction(3, 2), 0, 0, 0),
+                         (0, Fraction(2, 3), 0, 0), 1)
+
+
+def reference_m_check(pair):
+    """The paper's construction: the saturated image of (ZE)-perp under
+    a -> a - (a.E'/m) E."""
+    lat = pair.t.induced_lattice()
+    gram = lat.gram
+    e, ep, m = pair.e, pair.e_prime, pair.m
+    image = []
+    for alpha in mo.integer_kernel((mo.mat_vec(gram, e),)):
+        a_ep = mo.dot(alpha, mo.mat_vec(gram, ep))
+        assert a_ep % m == 0
+        image.append(mo.sub_vec(alpha, mo.scale_vec(a_ep // m, e)))
+    return Sublattice(lat, mo.saturate(image, lat.rank))
+
+
+@st.composite
+def um_grams(draw):
+    """U(m) + U(k) for m, k in 1..3, optionally plus a rank-1 block (d),
+    |d| <= 4."""
+    m, k = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    extra = draw(st.lists(st.integers(-4, 4), max_size=1))
+    lat = direct_sum(hyperbolic_plane(m), hyperbolic_plane(k))
+    if extra:
+        lat = direct_sum(lat, IntegerLattice(((extra[0],),)))
+    return lat
+
+
+@settings(max_examples=30, deadline=None)
+@given(um_grams())
+def test_m_check_matches_saturated_image(lat):
+    t = Sublattice.full(lat)
+    found = find_isotropic(t, height=1)
+    checked = 0
+    for e, ep in product(found, repeat=2):
+        m = pairing(lat, e, ep)
+        if m < 0:
+            ep, m = mo.scale_vec(-1, ep), -m
+        try:
+            pair = check_admissible(t, e, ep, m)
+        except AdmissibilityError:
+            continue
+        assert same_sublattice(construct_mirror(pair).m_check, reference_m_check(pair))
+        checked += 1
+    assert checked > 0
