@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from . import matrixops as mo
 from .errors import DimensionMismatch, K3BVError
-from .lattice import IntegerLattice, Sublattice, same_sublattice, saturation
+from .lattice import IntegerLattice, Sublattice
 from .matrixops import Matrix, Vector
 from .mirror import MirrorSplit
 from .record import Record
@@ -26,7 +26,8 @@ __all__ = ["LatticeInvolution", "RealFiberType", "SymplecticSpace",
 class LatticeInvolution(Record):
     """Integer matrix squaring to the identity and preserving the form.
 
-    The matrix acts on column vectors of lattice coordinates.
+    The matrix acts on column vectors of lattice coordinates. Given
+    a^2 = I, a^T G a = G holds exactly when G a (= a^T G) is symmetric.
     """
 
     lattice: IntegerLattice
@@ -40,8 +41,8 @@ class LatticeInvolution(Record):
             raise DimensionMismatch("involution matrix must be rank x rank")
         if mo.mat_mul(a, a) != mo.identity(n):
             raise K3BVError("matrix does not square to the identity")
-        g = self.lattice.gram
-        if mo.mat_mul(mo.mat_mul(mo.transpose(a), g), a) != g:
+        ga = mo.mat_mul(self.lattice.gram, a)
+        if mo.transpose(ga) != ga:
             raise K3BVError("matrix does not preserve the bilinear form")
 
     def apply(self, v: Vector) -> Vector:
@@ -107,16 +108,11 @@ class SymplecticSpace(Record):
 
 
 def invariant_sublattices(rho: LatticeInvolution) -> tuple[Sublattice, Sublattice]:
-    """Saturated kernels of (rho - Id) and (rho + Id)."""
-    n = rho.lattice.rank
-    ident = mo.identity(n)
-    minus = tuple(tuple(x - y for x, y in zip(r1, r2)) for r1, r2 in zip(rho.matrix, ident))
-    plus = tuple(tuple(x + y for x, y in zip(r1, r2)) for r1, r2 in zip(rho.matrix, ident))
-    plus_lat = Sublattice(rho.lattice, mo.integer_kernel(minus))
-    minus_lat = Sublattice(rho.lattice, mo.integer_kernel(plus))
-    if plus_lat.rank + minus_lat.rank != n:
-        raise K3BVError("invariant and anti-invariant ranks do not add up")
-    return plus_lat, minus_lat
+    """Saturated kernels of (rho - Id) and (rho + Id); their ranks add up to
+    n, since rho^2 = Id splits Q^n into the two eigenspaces."""
+    shifted = [tuple(tuple(x - s * (i == j) for j, x in enumerate(row))
+                     for i, row in enumerate(rho.matrix)) for s in (1, -1)]
+    return tuple(Sublattice(rho.lattice, mo.integer_kernel(a)) for a in shifted)
 
 
 def reflection_through(p_in_l: Sublattice) -> Matrix:
@@ -146,16 +142,19 @@ def reflection_through(p_in_l: Sublattice) -> Matrix:
 def mirror_involution(rho: LatticeInvolution, split: MirrorSplit) -> LatticeInvolution:
     """H(iota-check) = r_P o H(iota), for m = 1 splits.
 
-    The anti-invariant lattice of rho must be the T of the split; the
-    output has invariant lattice M-check and anti-invariant P + M.
+    T must span the -1 eigenspace of rho, of dimension (n - tr rho) / 2
+    as rho^2 = Id: 2 rank T = n - tr rho and rho t = -t on each row t of
+    T. The output has invariant lattice M-check and anti-invariant P + M.
     """
     if split.m != 1:
         raise K3BVError("mirror involution requires m = 1 (r_P is not integral otherwise)")
     t = split.t
     if t.ambient != rho.lattice:
         raise K3BVError("split does not live in the lattice of the involution")
-    _, minus_lat = invariant_sublattices(rho)
-    if not same_sublattice(saturation(t), minus_lat):
+    n = rho.lattice.rank
+    minus_t = tuple(mo.scale_vec(-1, row) for row in t.basis)
+    if (2 * t.rank != n - sum(rho.matrix[i][i] for i in range(n))
+            or mo.mat_mul(t.basis, mo.transpose(rho.matrix)) != minus_t):
         raise K3BVError("anti-invariant lattice of the involution is not the T of the split")
     p_in_l = t.compose(split.p)
     r_p = reflection_through(p_in_l)

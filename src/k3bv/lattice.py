@@ -118,17 +118,18 @@ def pairing(lattice: IntegerLattice, v: Vector, w: Vector):
 def det_and_signature(lattice: IntegerLattice) -> tuple[int, tuple[int, int, int]]:
     """Exact determinant and inertia (positive, negative, zero counts).
 
-    The determinant uses fraction-free Bareiss elimination. The inertia
-    comes from fraction-free symmetric elimination over int: a nonzero
-    diagonal pivot p is split off and the rest replaced by
-    |p| g_rc - sign(p) g_rk g_kc divided by its content, a positive
-    multiple of the Schur complement, so the inertia is kept. When every
-    diagonal entry is zero but some g_ij is not, the congruence
-    e_i <- e_i + e_j makes g_ii = 2 g_ij (this handles hyperbolic blocks).
+    One fraction-free symmetric (Bareiss) elimination over int gives both:
+    a nonzero diagonal pivot p is split off and the rest replaced by
+    (p g_rc - g_rk g_kc) / prev, exact as every entry is a minor. Pivots
+    are leading principal minors of a congruent Gram, so the Schur pivot
+    p / prev is positive when p and prev share a sign. When every diagonal
+    entry is zero but some g_ij is not, the congruence e_i <- e_i + e_j
+    makes g_ii = 2 g_ij (this handles hyperbolic blocks). The determinant
+    is the last pivot, or 0 when a zero block is left.
     """
-    det = mo.bareiss_det(lattice.gram)
     g = [list(row) for row in lattice.gram]
     pos = neg = 0
+    prev = 1
     while g:
         n = len(g)
         k = next((i for i in range(n) if g[i][i]), None)
@@ -141,19 +142,17 @@ def det_and_signature(lattice: IntegerLattice) -> tuple[int, tuple[int, int, int
             for row in g:
                 row[k] += row[j]
         p = g[k][k]
-        if p > 0:
+        if (p > 0) == (prev > 0):
             pos += 1
         else:
             neg += 1
         pk = g.pop(k)
         del pk[k]
-        rest = []
         for row in g:
-            f = row.pop(k) if p > 0 else -row.pop(k)
-            rest.append([abs(p) * x - f * y for x, y in zip(row, pk)])
-        c = gcd(*(x for row in rest for x in row))
-        g = [[x // c for x in row] for row in rest] if c > 1 else rest
-    return det, (pos, neg, len(g))
+            f = row.pop(k)
+            row[:] = [(p * x - f * y) // prev for x, y in zip(row, pk)]
+        prev = p
+    return (0 if g else prev), (pos, neg, len(g))
 
 
 def orthogonal_complement(s: Sublattice) -> Sublattice:

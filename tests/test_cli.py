@@ -1,9 +1,13 @@
 """CLI grammar, exit codes, and byte-stable JSON output."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import k3bv
 from k3bv import K3BVError
 from k3bv.cli import run
 from k3bv.jsonio import involution_from_json
@@ -32,6 +36,16 @@ class TestLatticeInfo:
 
     def test_usage_error(self, capsys):
         assert run(["lattice", "info"]) == 2
+
+
+def test_cold_import_leaves_verify_unloaded():
+    """Only `verify all` needs the acceptance criteria; every other
+    command starts without importing them."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(k3bv.__file__)))
+    code = "import sys, k3bv.cli; print('k3bv.verify' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, check=True)
+    assert proc.stdout.strip() == "False"
 
 
 class TestBVHodge:

@@ -14,7 +14,7 @@ import json
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from k3bv import cli
+from k3bv import cli, verify
 
 UU = {"ambient": {"gram": [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]]},
       "basis": [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]}
@@ -137,7 +137,7 @@ def argvs(draw):
 def run_all_once():
     """verify all is deterministic and takes seconds; run it once."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(cli, "run_all", functools.cache(cli.run_all))
+        mp.setattr(verify, "run_all", functools.cache(verify.run_all))
         yield
 
 

@@ -1,13 +1,16 @@
 """Lattice involutions, the mirror involution, the symplectic transpose
 identity, and real fiber dualization."""
 
+from itertools import permutations, product
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from k3bv import (K3BVError, LatticeInvolution, RealFiberType, Sublattice,
-                  SymplecticSpace, coordinates_in, invariant_sublattices,
-                  k3_lattice, mirror_involution, orthogonal_complement,
-                  real_fiber_dual, same_sublattice, transpose_defect)
+                  SymplecticSpace, coordinates_in, direct_sum, hyperbolic_plane,
+                  invariant_sublattices, k3_lattice, mirror_involution,
+                  orthogonal_complement, real_fiber_dual, same_sublattice,
+                  transpose_defect)
 from k3bv import matrixops as mo
 from k3bv.involution import reflection_through
 from k3bv.mirror import check_admissible, construct_mirror
@@ -37,6 +40,29 @@ class TestLatticeInvolution:
         perm = ((0, 0, 1, 0), (0, 1, 0, 0), (1, 0, 0, 0), (0, 0, 0, 1))
         with pytest.raises(K3BVError, match="form"):
             LatticeInvolution(UU, perm)
+
+    def test_isometry_check_on_signed_permutations(self):
+        # Every signed-permutation involution of U(3) + U, and its conjugate
+        # by a shear: the constructor accepts exactly the a with
+        # a^T G a = G, checked here with all three products.
+        lattice = direct_sum(hyperbolic_plane(3), hyperbolic_plane(1))
+        g = lattice.gram
+        shear = ((1, 0, 1, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
+        unshear = ((1, 0, -1, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
+        candidates = []
+        for perm, signs in product(permutations(range(4)), product((1, -1), repeat=4)):
+            a = tuple(tuple(signs[i] if j == perm[i] else 0 for j in range(4)) for i in range(4))
+            if mo.mat_mul(a, a) == mo.identity(4):
+                candidates += [a, mo.mat_mul(mo.mat_mul(shear, a), unshear)]
+        accepted = 0
+        for a in candidates:
+            if mo.mat_mul(mo.mat_mul(mo.transpose(a), g), a) == g:
+                assert LatticeInvolution(lattice, a).matrix == a
+                accepted += 1
+            else:
+                with pytest.raises(K3BVError, match="does not preserve the bilinear form"):
+                    LatticeInvolution(lattice, a)
+        assert len(candidates) == 152 and 0 < accepted < 152
 
 
 class TestInvariantSublattices:
@@ -98,6 +124,25 @@ class TestMirrorInvolution:
         split = construct_mirror(check_admissible(t, (1, 0, 0, 0), (0, 1, 0, 0), 2))
         with pytest.raises(K3BVError, match="m = 1"):
             mirror_involution(standard_rho, split)
+
+    @pytest.mark.parametrize("signs", [(1,) * 6 + (-1,) * 16, (-1, -1, 1, 1) + (-1,) * 18],
+                             ids=["rank_mismatch", "wrong_eigenspace"])
+    def test_anti_invariant_lattice_must_be_t(self, K3, k3_split, signs):
+        # T is the complement of the first U, of rank 20. The first rho has
+        # a rank-16 anti-invariant lattice; the second one of rank 20 that
+        # is not T.
+        _, _, split = k3_split
+        with pytest.raises(K3BVError, match="not the T of the split"):
+            mirror_involution(diag_involution(K3, signs), split)
+
+    def test_non_saturated_t_accepted(self, K3, standard_rho):
+        # T = <e2, f2, 2 e4, ..., 2 e21> spans the -1 eigenspace of rho
+        # without being saturated.
+        unit = mo.identity(22)
+        t = Sublattice(K3, unit[2:4] + tuple(mo.scale_vec(2, row) for row in unit[4:]))
+        split = construct_mirror(check_admissible(t, unit[0][:20], unit[1][:20], 1))
+        checked = mirror_involution(standard_rho, split)
+        assert mo.mat_mul(checked.matrix, checked.matrix) == mo.identity(22)
 
     def test_reflection_matrix(self, UU):
         p = Sublattice(UU, ((1, 0, 0, 0), (0, 1, 0, 0)))

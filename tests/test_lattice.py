@@ -1,6 +1,7 @@
 """Core lattice arithmetic: pairings, determinants, signatures, Smith
 normal form, complements, saturation, divisibility."""
 
+import random
 from fractions import Fraction
 from itertools import combinations, permutations
 from math import gcd
@@ -108,7 +109,81 @@ def congruent_grams(draw):
     return g, mo.freeze(d), inertia
 
 
+def content_inertia(gram):
+    """Reference inertia: symmetric elimination that splits off a pivot p,
+    replaces the rest by |p| g_rc - sign(p) g_rk g_kc (a positive multiple
+    of the Schur complement) and divides by its content."""
+    g = [list(row) for row in gram]
+    pos = neg = 0
+    while g:
+        n = len(g)
+        k = next((i for i in range(n) if g[i][i]), None)
+        if k is None:
+            pair = next(((i, j) for i in range(n) for j in range(i + 1, n) if g[i][j]), None)
+            if pair is None:
+                break
+            k, j = pair
+            g[k] = [x + y for x, y in zip(g[k], g[j])]
+            for row in g:
+                row[k] += row[j]
+        p = g[k][k]
+        if p > 0:
+            pos += 1
+        else:
+            neg += 1
+        pk = g.pop(k)
+        del pk[k]
+        rest = []
+        for row in g:
+            f = row.pop(k) if p > 0 else -row.pop(k)
+            rest.append([abs(p) * x - f * y for x, y in zip(row, pk)])
+        c = gcd(*(x for row in rest for x in row))
+        g = [[x // c for x in row] for row in rest] if c > 1 else rest
+    return pos, neg, len(g)
+
+
+@st.composite
+def symmetric_grams(draw):
+    """Random symmetric Grams: dense, zero-diagonal or low-rank B^T D B,
+    with small or moderate entries."""
+    n = draw(st.integers(0, 9))
+    bound = draw(st.sampled_from([3, 50]))
+    entry = st.integers(-bound, bound)
+    kind = draw(st.sampled_from(["dense", "zero_diagonal", "low_rank"]))
+    if kind == "low_rank":
+        r = draw(st.integers(0, max(n - 1, 0)))
+        b = [[draw(entry) for _ in range(n)] for _ in range(r)]
+        d = [draw(st.sampled_from([-3, -2, -1, 1, 2, 3])) for _ in range(r)]
+        return tuple(tuple(sum(b[k][i] * d[k] * b[k][j] for k in range(r)) for j in range(n))
+                     for i in range(n))
+    upper = [[draw(entry) for _ in range(n)] for _ in range(n)]
+    return tuple(tuple(0 if i == j and kind == "zero_diagonal" else upper[min(i, j)][max(i, j)]
+                       for j in range(n)) for i in range(n))
+
+
 class TestDetAndSignature:
+    @settings(max_examples=300, deadline=None)
+    @given(symmetric_grams())
+    def test_matches_content_dividing_reference(self, g):
+        assert det_and_signature(IntegerLattice(g)) == (mo.bareiss_det(g), content_inertia(g))
+
+    def test_congruence_after_non_unit_pivot(self):
+        # Pivot 3 leaves [[0, 6], [6, 0]]; the congruence step then pivots
+        # on 12 and divides by 3.
+        g = ((3, 3, 0), (3, 3, 2), (0, 2, 0))
+        assert det_and_signature(IntegerLattice(g)) == (-12, (2, 1, 0))
+
+    def test_rank_zero(self):
+        assert det_and_signature(IntegerLattice(())) == (1, (0, 0, 0))
+
+    def test_rank_20_with_40_bit_entries(self):
+        rng = random.Random(20)
+        upper = [[rng.randint(-2**40, 2**40) for _ in range(20)] for _ in range(20)]
+        g = tuple(tuple(upper[min(i, j)][max(i, j)] for j in range(20)) for i in range(20))
+        det, sig = det_and_signature(IntegerLattice(g))
+        assert det == mo.bareiss_det(g) != 0
+        assert sig == content_inertia(g)
+
     @settings(max_examples=150, deadline=None)
     @given(congruent_grams())
     def test_sylvester_law_on_dense_congruent_grams(self, case):
