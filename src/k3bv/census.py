@@ -145,10 +145,11 @@ class BasePoint(Record):
 
     def __post_init__(self):
         for name in ("x", "y", "z", "u", "v"):
-            object.__setattr__(self, name, Fraction(getattr(self, name)))
-        if self.x ** 2 + self.y ** 2 + self.z ** 2 != 1:
+            if not isinstance(c := getattr(self, name), Fraction):
+                object.__setattr__(self, name, Fraction(c))
+        if self.x * self.x + self.y * self.y + self.z * self.z != 1:
             raise K3BVError("(x, y, z) is not on the unit two-sphere")
-        if self.u ** 2 + self.v ** 2 != 1:
+        if self.u * self.u + self.v * self.v != 1:
             raise K3BVError("(u, v) is not on the unit circle")
 
     def involution_image(self) -> "BasePoint":

@@ -110,8 +110,8 @@ class SymplecticSpace(Record):
 def invariant_sublattices(rho: LatticeInvolution) -> tuple[Sublattice, Sublattice]:
     """Saturated kernels of (rho - Id) and (rho + Id); their ranks add up to
     n, since rho^2 = Id splits Q^n into the two eigenspaces."""
-    shifted = [tuple(tuple(x - s * (i == j) for j, x in enumerate(row))
-                     for i, row in enumerate(rho.matrix)) for s in (1, -1)]
+    shifted = ([row[:i] + (row[i] - s,) + row[i + 1:] for i, row in enumerate(rho.matrix)]
+               for s in (1, -1))
     return tuple(Sublattice(rho.lattice, mo.integer_kernel(a)) for a in shifted)
 
 

@@ -7,7 +7,8 @@ over int; a Fraction is built only for a result. Integer kernels,
 saturation and the Smith normal form come from one row Hermite normal
 form routine, and the kernel and saturation bases are returned in Hermite
 normal form, so they are canonical. Lattice equality compares Hermite
-normal forms. Ranks in this package never exceed 22.
+normal forms. Ranks in this package never exceed 22. The product a b
+skips the zero entries of each row of a that is at least half zero.
 """
 
 from __future__ import annotations
@@ -44,8 +45,20 @@ def transpose(a: Matrix) -> Matrix:
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     if a and b and len(a[0]) != len(b):
         raise DimensionMismatch(f"cannot multiply {len(a)}x{len(a[0])} by {len(b)}x{len(b[0])}")
-    bt = transpose(b)
-    return tuple(tuple(sum(map(mul, row, col)) for col in bt) for row in a)
+    zero = (0,) * len(b[0]) if b else ()
+    bt = None
+    out = []
+    for row in a:
+        if 2 * row.count(0) >= len(row):
+            acc = zero
+            for x, brow in zip(row, b):
+                if x:
+                    acc = [s + x * y for s, y in zip(acc, brow)]
+            out.append(tuple(acc))
+        else:
+            bt = bt or transpose(b)
+            out.append(tuple(sum(map(mul, row, col)) for col in bt))
+    return tuple(out)
 
 
 def mat_vec(a: Matrix, v: Vector) -> Vector:

@@ -5,7 +5,7 @@ import hashlib
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from k3bv import (DimensionMismatch, IntegerLattice, K3BVError, Sublattice,
                   SymplecticSpace, same_sublattice, transpose_defect)
@@ -131,6 +131,70 @@ def independent_bases(draw):
         # Fall back to a unimodular image of coordinate vectors.
         rows = mo.mat_mul(mo.identity(n)[:r], draw(unimodular(n)))
     return n, mo.freeze(rows)
+
+
+# --- the product against the triple sum --------------------------------------
+
+nonzero_entries = {
+    "int": st.integers(-4, 4).filter(bool),
+    "Fraction": st.fractions(min_value=-4, max_value=4, max_denominator=4).filter(bool),
+    "mixed": rationals.filter(bool),
+}
+
+
+@st.composite
+def sparse_rows(draw, m, n, entries):
+    """m rows of length n, each with a drawn number of zeros (0 to n, so
+    all-zero, exactly half zero and fully dense rows all occur), each row a
+    list or a tuple."""
+    rows = []
+    for _ in range(m):
+        row = [draw(entries) for _ in range(n)]
+        for j in draw(st.permutations(range(n)))[:draw(st.integers(0, n))]:
+            row[j] = 0
+        rows.append(tuple(row) if draw(st.booleans()) else row)
+    return rows
+
+
+@st.composite
+def products(draw):
+    """(a, b) with a m x k and b k x n, 0 <= m, k, n <= 6, square or not."""
+    m, k, n = (draw(st.integers(0, 6)) for _ in range(3))
+    if draw(st.booleans()):
+        k = n = m
+    entries = nonzero_entries[draw(st.sampled_from(sorted(nonzero_entries)))]
+    return draw(sparse_rows(m, k, entries)), draw(sparse_rows(k, n, entries))
+
+
+def triple_sum(a, b):
+    n = len(b[0]) if b else 0
+    return tuple(tuple(sum(a[i][k] * b[k][j] for k in range(len(b))) for j in range(n))
+                 for i in range(len(a)))
+
+
+class TestProduct:
+    @settings(max_examples=300, deadline=None)
+    @given(products())
+    # Empty shapes, and rows exactly half zero given as lists and tuples.
+    @example(((), ((1, 2),)))
+    @example((((), ()), ()))
+    @example((((1,), (2,)), ((),)))
+    @example((((0, 2, 0, -1), [3, 0, Fraction(1, 2), 0], (1, 1, 1, 0)),
+              [[1, 0], (0, 1), [2, Fraction(-1, 3)], (1, 1)]))
+    def test_matches_triple_sum(self, ab):
+        a, b = ab
+        out = mo.mat_mul(a, b)
+        assert type(out) is tuple and all(type(row) is tuple for row in out)
+        assert out == triple_sum(a, b)
+
+    @given(st.integers(1, 4), st.integers(1, 4), st.integers(1, 4), st.integers(0, 4), st.data())
+    def test_dimension_mismatch(self, m, k, k2, n, data):
+        if k2 == k:
+            k2 += 1
+        a = data.draw(sparse_rows(m, k, nonzero_entries["mixed"]))
+        b = data.draw(sparse_rows(k2, n, nonzero_entries["mixed"]))
+        with pytest.raises(DimensionMismatch, match=f"^cannot multiply {m}x{k} by {k2}x{n}$"):
+            mo.mat_mul(a, b)
 
 
 # --- the kernel against the reference ---------------------------------------
