@@ -4,7 +4,8 @@ All arithmetic is exact and runs over int: determinants, inertia and
 canonical forms come from fraction-free elimination, and a Fraction
 appears only in rational coordinates. Values are immutable after
 construction; a Sublattice keeps its row Hermite normal form as its
-canonical key.
+canonical key, and a basis already in that form is its own key and has
+its coordinates read off pivot by pivot.
 """
 
 from __future__ import annotations
@@ -76,8 +77,9 @@ class Sublattice(Record):
         if any(not isinstance(x, int) for row in b for x in row):
             raise DimensionMismatch("generator entries must be integers")
         # The row HNF is the canonical key same_sublattice compares; its
-        # last row is zero exactly when the rows are dependent.
-        hnf = mo.hermite_normal_form(b)
+        # last row is zero exactly when the rows are dependent. A basis
+        # already in HNF, with no zero row, is its own key.
+        hnf = b if mo.is_hermite_form(b) else mo.hermite_normal_form(b)
         if hnf and not any(hnf[-1]):
             raise DimensionMismatch("generator rows must be linearly independent over Q")
         object.__setattr__(self, "_hnf", hnf)
@@ -92,15 +94,16 @@ class Sublattice(Record):
 
     def gram(self) -> Matrix:
         """Induced Gram matrix basis * G * basis^T, computed once and cached."""
-        cached = self.__dict__.get("_gram")
-        if cached is None:
-            cached = mo.mat_mul(mo.mat_mul(self.basis, self.ambient.gram),
-                                mo.transpose(self.basis))
-            object.__setattr__(self, "_gram", cached)
-        return cached
+        if "_gram" not in self.__dict__:
+            self.__dict__["_gram"] = mo.mat_mul(mo.mat_mul(self.basis, self.ambient.gram),
+                                                mo.transpose(self.basis))
+        return self.__dict__["_gram"]
 
     def induced_lattice(self) -> IntegerLattice:
-        return IntegerLattice(self.gram())
+        """The induced Gram as a lattice, built and validated once."""
+        if "_induced" not in self.__dict__:
+            self.__dict__["_induced"] = IntegerLattice(self.gram())
+        return self.__dict__["_induced"]
 
     def compose(self, inner: "Sublattice") -> "Sublattice":
         """Reinterpret a sublattice given in this sublattice's coordinates
@@ -184,6 +187,16 @@ def coordinates_in(s: Sublattice, v: Vector, rational: bool = False) -> Vector:
     """
     if len(v) != s.ambient.rank:
         raise DimensionMismatch("vector length does not match ambient rank")
+    if not rational and s._hnf is s.basis and all(isinstance(x, int) for x in v):
+        # Pivot by pivot on an HNF basis: x_i = r[c_i] // p_i, r -= x_i b_i. A
+        # remainder stays in r, so r = 0 proves membership; else solve below.
+        r, xs = list(v), []
+        for row in s.basis:
+            c = next(j for j, y in enumerate(row) if y)
+            xs.append(r[c] // row[c])
+            r = [x - xs[-1] * y for x, y in zip(r, row)]
+        if not any(r):
+            return tuple(xs)
     # transpose(()) has no rows, so it would check no equation against v.
     sol = mo.solve_rational(mo.transpose(s.basis), v) if s.basis or not any(v) else None
     if sol is None:

@@ -1,14 +1,15 @@
 """Exact matrix arithmetic over Z and Q.
 
 Matrices are tuples of tuples (rows); vectors are tuples. Entries are
-Python ints or fractions.Fraction. Rank, determinant, solutions and
-inverses all come from one fraction-free (Bareiss) Gauss-Jordan kernel
-over int; a Fraction is built only for a result. Integer kernels,
-saturation and the Smith normal form come from one row Hermite normal
-form routine, and the kernel and saturation bases are returned in Hermite
-normal form, so they are canonical. Lattice equality compares Hermite
-normal forms. Ranks in this package never exceed 22. The product a b
-skips the zero entries of each row of a that is at least half zero.
+Python ints or fractions.Fraction. Rank, solutions and inverses come
+from one fraction-free (Bareiss) Gauss-Jordan kernel over int; a Fraction
+is built only for a result; a determinant eliminates forward only. Integer
+kernels, saturation and the Smith normal form come from one row Hermite
+normal form routine, and the kernel and saturation bases are returned in
+Hermite normal form, so they are canonical. Lattice equality compares
+Hermite normal forms; one scan recognises a matrix already in that form.
+Ranks in this package never exceed 22. The product a b skips the zero
+entries of each row of a that is at least half zero.
 """
 
 from __future__ import annotations
@@ -92,13 +93,28 @@ def sub_vec(v: Vector, w: Vector) -> Vector:
 
 
 def bareiss_det(a: Matrix) -> int:
-    """Exact determinant of an integer matrix: the last pivot of the
-    fraction-free elimination, zero when a pivot is missing."""
+    """Exact determinant of an integer matrix by forward-only fraction-free
+    elimination (Bareiss; Cohen, Sec. 2.2): each step splits off a pivot row
+    and the first column and updates only the rows left, as (p * row -
+    f * pivot_row) / prev, an exact division. The last pivot is the
+    determinant, negated once per odd move of a pivot row up."""
     n = len(a)
     if any(len(row) != n for row in a):
         raise DimensionMismatch("determinant of a non-square matrix")
-    _, pivots, d = _echelon(a, n)
-    return d if len(pivots) == n else 0
+    if any(not isinstance(x, int) for row in a for x in row):
+        raise DimensionMismatch("determinant entries must be integers")
+    rows, sign, prev = list(a), 1, 1
+    while rows:
+        k = next((i for i, row in enumerate(rows) if row[0]), None)
+        if k is None:
+            return 0
+        prow = rows.pop(k)
+        p, tail = prow[0], prow[1:]
+        sign = -sign if k % 2 else sign
+        rows = [[(p * x - row[0] * y) // prev for x, y in zip(row[1:], tail)]
+                if row[0] or p != prev else row[1:] for row in rows]
+        prev = p
+    return sign * prev
 
 
 def _echelon(a: Matrix, ncols: int) -> tuple[list[list[int]], list[int], int]:
@@ -108,11 +124,9 @@ def _echelon(a: Matrix, ncols: int) -> tuple[list[list[int]], list[int], int]:
     keeps its span. Column by column over the first ncols columns, the
     first remaining row with a nonzero entry becomes the pivot row and
     every other row is updated as (p * row - f * pivot_row) / prev, an
-    exact division by the previous pivot. A row swap also negates a row,
-    so for a square integer matrix of full rank d is its determinant.
-    Returns the integer rows (pivot rows first, in column order), the
-    pivot columns and the last pivot d; the pivot columns then read d
-    times the identity.
+    exact division by the previous pivot. Returns the integer rows (pivot
+    rows first, in column order), the pivot columns and the last pivot d;
+    the pivot columns then read d times the identity.
     """
     rows = []
     for row in a:
@@ -130,7 +144,7 @@ def _echelon(a: Matrix, ncols: int) -> tuple[list[list[int]], list[int], int]:
         if piv is None:
             continue
         if piv != r:
-            rows[r], rows[piv] = rows[piv], [-x for x in rows[r]]
+            rows[r], rows[piv] = rows[piv], rows[r]
         prow = rows[r]
         p = prow[c]
         for i, row in enumerate(rows):
@@ -227,6 +241,14 @@ def hermite_normal_form(a: Matrix) -> Matrix:
     """Row Hermite normal form of an integer matrix. Two matrices generate
     the same lattice exactly when their forms agree (Cohen, Sec. 2.4.2)."""
     return freeze(_hermite([list(row) for row in a], len(a[0]) if a else 0))
+
+
+def is_hermite_form(a: Matrix) -> bool:
+    """True when _hermite would leave a as is and a has no zero row: leading
+    columns increase, pivots are positive, entries above them in [0, pivot)."""
+    leads = [next((j for j, x in enumerate(row) if x), -1) for row in a]
+    return all(c > d and a[i][c] > 0 and all(0 <= a[k][c] < a[i][c] for k in range(i))
+               for i, (d, c) in enumerate(zip([-1] + leads, leads)))
 
 
 def _kernel(a: Matrix, n: int) -> Matrix:

@@ -371,6 +371,82 @@ class TestHermiteBases:
         assert saturation(Sublattice(U, ((2, 0), (0, 3)))).basis == mo.identity(2)
 
 
+def skewed(data, s: Sublattice) -> Sublattice:
+    """S under a random unimodular change of basis (elementary row
+    operations), with its first row negated if that left an HNF."""
+    rows = [list(row) for row in s.basis]
+    for _ in range(data.draw(st.integers(1, 3 * len(rows)))):
+        i, j = (data.draw(st.integers(0, len(rows) - 1)) for _ in range(2))
+        if i == j:
+            rows[i] = [-x for x in rows[i]]
+        else:
+            c = data.draw(st.integers(-2, 2))
+            rows[i] = [x + c * y for x, y in zip(rows[i], rows[j])]
+    if mo.is_hermite_form(rows):
+        rows[0] = [-x for x in rows[0]]
+    return Sublattice(s.ambient, rows)
+
+
+def not_in_lattice(message):
+    return pytest.raises(NotInLattice, match=f"^vector is {message}$")
+
+
+class TestHermiteKey:
+    """A basis already in HNF is its own key, and coordinates on it are
+    read off pivot by pivot; every answer matches a skewed basis of the
+    same lattice, which takes the rational solve."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(k3_sublattices(), st.data())
+    def test_hnf_and_skewed_bases_agree(self, s, data):
+        comp = orthogonal_complement(s)
+        # Doubling an HNF gives an HNF that misses the vectors of comp with
+        # an odd coordinate; comp is saturated, so its own such vectors
+        # have half-integer entries.
+        twice = Sublattice(K3_LATTICE, tuple(tuple(2 * x for x in row) for row in comp.basis))
+        gs = mo.mat_vec(K3_LATTICE.gram, s.basis[0])
+        j = next(j for j, y in enumerate(gs) if y)
+        outside = tuple(int(i == j) for i in range(22))  # pairs nonzero with S
+        for h, half in ((comp, Fraction(1, 2)), (twice, 1)):
+            sk = skewed(data, h)
+            assert h._hnf is h.basis and h._hnf == mo.hermite_normal_form(h.basis)
+            assert sk._hnf is not sk.basis and same_sublattice(h, sk)
+            x = tuple(data.draw(st.lists(st.integers(-5, 5), min_size=h.rank,
+                                         max_size=h.rank)))
+            v = mo.vec_mat(x, h.basis)
+            assert coordinates_in(h, v) == x
+            assert coordinates_in(h, v, rational=True) == x
+            assert mo.vec_mat(coordinates_in(sk, v), sk.basis) == v
+            q_not_z = tuple(a + half * b for a, b in zip(v, comp.basis[0]))
+            for b in (h, sk):
+                assert contains(b, v)
+                assert not contains(b, q_not_z) and not contains(b, mo.add_vec(v, outside))
+                with not_in_lattice("in the rational span but not in the sublattice"):
+                    coordinates_in(b, q_not_z)
+                with not_in_lattice("not in the rational span of the sublattice"):
+                    coordinates_in(b, mo.add_vec(v, outside))
+            if any(v):
+                assert divisibility(h, v) == divisibility(sk, v)
+                assert is_primitive(h, v) == is_primitive(sk, v)
+
+    @pytest.mark.parametrize("rows", [
+        ((1, 0, 0, 0), (0, -1, 0, 0)),   # a negative pivot
+        ((1, 2, 0, 0), (0, 2, 0, 0)),    # an entry above a pivot equal to it
+        ((0, 1, 0, 1), (0, 1, 1, 0)),    # two rows with one leading column
+    ])
+    def test_near_hnf_bases_are_reduced(self, UU, rows):
+        s = Sublattice(UU, rows)
+        assert not mo.is_hermite_form(rows)
+        assert s._hnf is not s.basis and s._hnf == mo.hermite_normal_form(rows)
+        v = mo.add_vec(mo.scale_vec(3, rows[0]), mo.scale_vec(-2, rows[1]))
+        assert coordinates_in(s, v) == (3, -2)
+
+    def test_induced_lattice_is_cached(self, UU):
+        s = Sublattice(UU, ((1, 1, 0, 0), (0, 0, 1, -1)))
+        assert s.induced_lattice() is s.induced_lattice()
+        assert s.induced_lattice() == IntegerLattice(((2, 0), (0, -2)))
+
+
 class TestDivisibilityPrimitivity:
     def test_divisibility_in_um(self):
         for m in (1, 2, 5):

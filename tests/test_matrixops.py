@@ -122,6 +122,26 @@ def unimodular(draw, n):
 
 
 @st.composite
+def zero_heavy(draw):
+    """Mostly zero square int matrices: a permuted triangular matrix (its
+    pivots sit at odd and even distances below the diagonal) or a sparse
+    one, sometimes with a zero column, so singular cases occur."""
+    n = draw(st.integers(1, 7))
+    sparse = st.sampled_from((0, 0, 0, 0, 0, 1, -1, 3))
+    if draw(st.booleans()):
+        rows = [[draw(sparse) if j > i else draw(st.sampled_from((1, -1, 2, -3))) if j == i
+                 else 0 for j in range(n)] for i in range(n)]
+    else:
+        rows = [[draw(sparse) for _ in range(n)] for _ in range(n)]
+    rows = [rows[i] for i in draw(st.permutations(range(n)))]
+    if draw(st.booleans()):
+        j = draw(st.integers(0, n - 1))
+        for row in rows:
+            row[j] = 0
+    return mo.freeze(rows)
+
+
+@st.composite
 def independent_bases(draw):
     """(n, B): an r x n integer matrix with linearly independent rows."""
     n = draw(st.integers(1, 6))
@@ -254,9 +274,20 @@ class TestKernelAgainstReference:
             with pytest.raises(DimensionMismatch):
                 mo.integer_inverse(a)
 
-    @given(matrices(entries=ints, square=True))
+    @given(st.one_of(matrices(entries=ints, square=True), zero_heavy()))
+    @example(((0, 1), (1, 0)))
+    @example(((0, 0, 2), (3, 0, 0), (0, 5, 0)))
+    @example(((0, 0, 1, 0), (0, 0, 0, 1), (1, 0, 0, 0), (0, 1, 0, 0)))
+    @example(((0, 2, 0), (0, 0, 3), (0, 1, 0)))
     def test_det(self, a):
         assert mo.bareiss_det(a) == ref_det(a)
+
+    @pytest.mark.parametrize("a", [((Fraction(1, 2),),), ((1, 0), (0, Fraction(2))),
+                                   ((1.0, 0), (0, 1)), ((0, 1), (1, "2"))])
+    def test_det_rejects_non_int_entries(self, a):
+        # Clearing denominators row by row would scale the determinant.
+        with pytest.raises(DimensionMismatch, match="^determinant entries must be integers$"):
+            mo.bareiss_det(a)
 
     def test_non_square(self):
         with pytest.raises(DimensionMismatch):
