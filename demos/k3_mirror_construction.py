@@ -7,9 +7,8 @@ mirror map, and finally mirrors a second time to recover M.
 """
 
 from k3bv import (Sublattice, TubePoint, check_admissible, construct_mirror,
-                  coordinates_in, det_and_signature, find_isotropic,
-                  k3_lattice, orthogonal_complement, phi, phi_inverse,
-                  same_sublattice)
+                  coordinates_in, det_and_signature, k3_lattice,
+                  orthogonal_complement, phi, phi_inverse, same_sublattice)
 
 L = k3_lattice()
 det, sig = det_and_signature(L)
@@ -22,14 +21,7 @@ T = orthogonal_complement(M)
 print(f"\nM = first U, T = M-perp: rank {T.rank}, "
       f"|det T| = {abs(det_and_signature(T.induced_lattice())[0])}")
 
-# The admissible pair lives in the second hyperbolic summand. On a
-# small slice of T the bounded search shows such vectors are plentiful.
-second_u = Sublattice(L, (tuple(1 if i == 2 else 0 for i in range(22)),
-                          tuple(1 if i == 3 else 0 for i in range(22))))
-candidates = find_isotropic(second_u, height=2)
-print(f"{len(candidates)} primitive isotropic candidates at height 2 "
-      "in the second U")
-
+# The admissible pair lives in the second hyperbolic summand.
 e = coordinates_in(T, tuple(1 if i == 2 else 0 for i in range(22)))
 ep = coordinates_in(T, tuple(1 if i == 3 else 0 for i in range(22)))
 pair = check_admissible(T, e, ep, 1)

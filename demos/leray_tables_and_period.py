@@ -4,8 +4,7 @@ Borcea-Voisin mirror period in the tensor basis."""
 from fractions import Fraction
 
 from k3bv import (Sublattice, TubePoint, bv_mirror_period, bv_table,
-                  check_admissible, check_degeneration, construct_mirror,
-                  direct_sum, elliptic_table, filtration_dims,
+                  check_degeneration, elliptic_table, filtration_dims,
                   hyperbolic_plane, k3_table, recover_period_inputs,
                   swap_rows, y_betti)
 
@@ -21,8 +20,8 @@ def show(table, rows, cols):
 
 
 print("K3 fibration table (degenerates, sums = Betti numbers of a K3):")
-show(k3_table(1), 3, 3)
-print(f"   antidiagonal sums: {k3_table(1).antidiagonal_sums()}")
+show(k3_table(), 3, 3)
+print(f"   antidiagonal sums: {k3_table().antidiagonal_sums()}")
 
 print("\nelliptic curve table; dualizing the fibration swaps the rows:")
 show(elliptic_table(), 2, 2)
@@ -38,13 +37,10 @@ f = filtration_dims(bv_table(r), 3)
 print(f"   degree-3 filtration dims {f.dims}, quotients {f.quotients()}")
 
 # The mirror period of the threefold, expanded over {E, E', m_i} x {s_x, s_y}.
-u = hyperbolic_plane(1)
-t = Sublattice.full(direct_sum(u, u))
-split = construct_mirror(check_admissible(t, (1, 0, 0, 0), (0, 1, 0, 0), 1))
-m = Sublattice.full(u)
+m = Sublattice.full(hyperbolic_plane(1))
 p1 = TubePoint(m, (Fraction(1, 2), 0), (1, 1))
 tau_data = (Fraction(1, 3), 2)
-period = bv_mirror_period(split, m, p1, tau_data)
+period = bv_mirror_period(p1, tau_data)
 
 print("\nmirror period components (complex rationals):")
 for (label, factor), c in period.components:

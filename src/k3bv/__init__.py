@@ -31,8 +31,7 @@ from .leray import (Filtration, SpectralTable, TensorPeriod, bv_mirror_period,
                     filtration_dims, k3_table, recover_period_inputs,
                     swap_rows, y_betti)
 from .matrixops import SmithDecomposition, smith_normal_form
-from .mirror import (AdmissiblePair, MirrorSplit, check_admissible,
-                     construct_mirror, find_isotropic)
+from .mirror import AdmissiblePair, MirrorSplit, check_admissible, construct_mirror
 from .mirrormap import EllipticPeriod, elliptic_phi, phi, phi_inverse
 
 __version__ = "0.1.0"

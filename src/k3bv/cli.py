@@ -1,8 +1,9 @@
 """Command-line front-end.
 
-Every subcommand prints canonical JSON (or an aligned table with
---output table where one makes sense) and exits 0 on success, 1 on a
+Every subcommand prints canonical JSON and exits 0 on success, 1 on a
 domain error with a machine-readable error object, 2 on a usage error.
+`leray bv` and `verify all`, the verbs with a table renderer, also take
+--output table.
 """
 
 from __future__ import annotations
@@ -11,7 +12,6 @@ import argparse
 import sys
 
 from .bv import BVData, euler_characteristic, hodge_numbers
-from .catalog import hyperbolic_plane
 from .census import census_slack, dualize_census, total_euler, validate_census
 from .domains import TubePoint, PeriodVector
 from .errors import K3BVError
@@ -19,7 +19,7 @@ from .hyperkahler import rotation_table
 from .jsonio import (census_from_json, census_to_json, dumps, int_from_json,
                      lattice_from_json, load_json_arg, parse_coords,
                      rational_to_str, sublattice_from_json, sublattice_to_json)
-from .lattice import Sublattice, det_and_signature, direct_sum
+from .lattice import Sublattice, det_and_signature
 from .leray import bv_mirror_period, bv_table
 from .mirror import MirrorSplit, check_admissible, construct_mirror
 from .mirrormap import phi, phi_inverse
@@ -145,11 +145,6 @@ def _leray_bv_table_text(payload) -> str:
     return "\n".join(lines)
 
 
-def _canonical_period_split() -> MirrorSplit:
-    t = Sublattice.full(direct_sum(hyperbolic_plane(1), hyperbolic_plane(1)))
-    return construct_mirror(check_admissible(t, (1, 0, 0, 0), (0, 1, 0, 0), 1))
-
-
 def _cmd_leray_bv_period(args) -> dict:
     m_lat = Sublattice.full(lattice_from_json(load_json_arg(args.m)))
     p1 = TubePoint(m_lat, parse_coords(args.b1), parse_coords(args.omega1))
@@ -157,7 +152,7 @@ def _cmd_leray_bv_period(args) -> dict:
     w2 = parse_coords(args.omega2)
     if len(b2) != 1 or len(w2) != 1:
         raise K3BVError("--b2 and --omega2 take a single rational each")
-    tp = bv_mirror_period(_canonical_period_split(), m_lat, p1, (b2[0], w2[0]))
+    tp = bv_mirror_period(p1, (b2[0], w2[0]))
     return {"components": [
         {"label": label, "factor": factor,
          "re": rational_to_str(c.re), "im": rational_to_str(c.im)}
@@ -209,7 +204,8 @@ def _build_parser() -> argparse.ArgumentParser:
     def add(group_parser, name, fn, table_renderer=None):
         p = group_parser.add_parser(name)
         p.set_defaults(fn=fn, table_renderer=table_renderer)
-        p.add_argument("--output", choices=("json", "table"), default="json")
+        if table_renderer is not None:
+            p.add_argument("--output", choices=("json", "table"), default="json")
         return p
 
     lattice = sub.add_parser("lattice").add_subparsers(dest="verb", required=True)
@@ -281,7 +277,7 @@ def run(argv: list[str]) -> int:
     except K3BVError as exc:
         print(dumps({"error": {"type": type(exc).__name__, "message": str(exc)}}))
         return 1
-    if args.output == "table" and args.table_renderer is not None:
+    if args.table_renderer is not None and args.output == "table":
         print(args.table_renderer(payload))
     else:
         print(dumps(payload))

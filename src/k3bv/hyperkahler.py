@@ -9,9 +9,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from . import matrixops as mo
 from .errors import K3BVError, NormalizationError
-from .lattice import IntegerLattice
+from .lattice import IntegerLattice, pairing
 from .matrixops import Vector
 from .record import Record
 
@@ -49,10 +48,6 @@ class UnitPhase(Record):
                          self.s * other.c + self.c * other.s)
 
 
-def _q(gram, v, w) -> Fraction:
-    return mo.dot(v, mo.mat_vec(gram, w))
-
-
 def rotation_table(omega_re: Vector, omega_im: Vector, kahler: Vector,
                    lattice: IntegerLattice) -> RotationTable:
     """Rows I, J, K of holomorphic 2-forms and Kahler forms.
@@ -61,11 +56,10 @@ def rotation_table(omega_re: Vector, omega_im: Vector, kahler: Vector,
     omega^2 > 0 with all three classes pairwise orthogonal; the failing
     equality is named in the error.
     """
-    g = lattice.gram
     re = tuple(Fraction(x) for x in lattice.check_vector(omega_re))
     im = tuple(Fraction(x) for x in lattice.check_vector(omega_im))
     w = tuple(Fraction(x) for x in lattice.check_vector(kahler))
-    re2, im2, w2 = _q(g, re, re), _q(g, im, im), _q(g, w, w)
+    re2, im2, w2 = (pairing(lattice, x, x) for x in (re, im, w))
     if re2 != im2:
         raise NormalizationError(f"(ReOmega)^2 = {re2} != (ImOmega)^2 = {im2}")
     if re2 != w2:
@@ -74,7 +68,7 @@ def rotation_table(omega_re: Vector, omega_im: Vector, kahler: Vector,
         raise NormalizationError(f"omega^2 = {w2} is not positive")
     for name, (a, b) in {"ReOmega.ImOmega": (re, im), "ReOmega.omega": (re, w),
                          "ImOmega.omega": (im, w)}.items():
-        val = _q(g, a, b)
+        val = pairing(lattice, a, b)
         if val != 0:
             raise NormalizationError(f"{name} = {val} != 0")
     return RotationTable(

@@ -2,8 +2,10 @@
 
 The mirror involution is r_P composed with the original action, where
 r_P is the identity on P and minus the identity on the orthogonal
-complement of P in L. This extension is integral exactly when P is
-unimodular, so m = 1 is required and enforced.
+complement of P in L. In the unimodular K3 lattice r_P is integral for
+P = U(m) with m = 1 or 2; m = 1 is required and enforced because it is
+the Borcea-Voisin mirror condition: an m = 2 split gives an integral
+involution whose invariant lattice is not the mirror one.
 """
 
 from __future__ import annotations
@@ -119,9 +121,11 @@ def reflection_through(p_in_l: Sublattice) -> Matrix:
     """r_P: identity on P, minus identity on the complement of P in L.
 
     With B the basis of P and G the form of L, the projection onto P is
-    B^T C with C = G_P^-1 B G, so r_P = 2 B^T C - I. C is integral exactly
-    when L = P + P-perp integrally; a singular G_P or a fractional C is
-    raised.
+    pi_P = B^T C with C = G_P^-1 B G, so r_P = 2 pi_P - I. With
+    G_P^-1 = Y / d, d pi_P = B^T (Y B G) is integral, and r_P is integral
+    exactly when d divides every entry of 2 d pi_P. This holds when
+    L = P + P-perp integrally, and also for P = U(2) in a unimodular L;
+    a singular G_P or a fractional 2 pi_P is raised.
     """
     b = p_in_l.basis
     n = p_in_l.ambient.rank
@@ -130,13 +134,11 @@ def reflection_through(p_in_l: Sublattice) -> Matrix:
     except DimensionMismatch:
         y, d = (), 0
     dc = mo.mat_mul(mo.mat_mul(y, b), p_in_l.ambient.gram)
-    if d == 0 or any(x % d for row in dc for x in row):
-        raise K3BVError(
-            "L does not split integrally as P + P-perp; r_P is not integral")
-    c = [[x // d for x in row] for row in dc]
-    proj = mo.mat_mul(mo.transpose(b), c) if b else mo.zeros(n, n)
-    return tuple(tuple(2 * x - (i == j) for j, x in enumerate(row))
-                 for i, row in enumerate(proj))
+    d_proj = mo.mat_mul(mo.transpose(b), dc) if b else mo.zeros(n, n)
+    if d == 0 or any(2 * x % d for row in d_proj for x in row):
+        raise K3BVError("2 pi_P is not integral, so neither is r_P = 2 pi_P - I")
+    return tuple(tuple(2 * x // d - (i == j) for j, x in enumerate(row))
+                 for i, row in enumerate(d_proj))
 
 
 def mirror_involution(rho: LatticeInvolution, split: MirrorSplit) -> LatticeInvolution:
@@ -147,7 +149,7 @@ def mirror_involution(rho: LatticeInvolution, split: MirrorSplit) -> LatticeInvo
     T. The output has invariant lattice M-check and anti-invariant P + M.
     """
     if split.m != 1:
-        raise K3BVError("mirror involution requires m = 1 (r_P is not integral otherwise)")
+        raise K3BVError("mirror involution requires m = 1, the Borcea-Voisin mirror condition")
     t = split.t
     if t.ambient != rho.lattice:
         raise K3BVError("split does not live in the lattice of the involution")

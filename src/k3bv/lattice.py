@@ -179,15 +179,11 @@ def is_saturated(s: Sublattice) -> bool:
     return same_sublattice(s, saturation(s))
 
 
-def coordinates_in(s: Sublattice, v: Vector, rational: bool = False) -> Vector:
-    """Coordinates of an ambient vector in the basis of S.
-
-    With rational=False the vector must lie in S over Z; with
-    rational=True it only needs to lie in the rational span.
-    """
+def coordinates_in(s: Sublattice, v: Vector) -> Vector:
+    """Integer coordinates of an ambient vector of S in the basis of S."""
     if len(v) != s.ambient.rank:
         raise DimensionMismatch("vector length does not match ambient rank")
-    if not rational and s._hnf is s.basis and all(isinstance(x, int) for x in v):
+    if s._hnf is s.basis and all(isinstance(x, int) for x in v):
         # Pivot by pivot on an HNF basis: x_i = r[c_i] // p_i, r -= x_i b_i. A
         # remainder stays in r, so r = 0 proves membership; else solve below.
         r, xs = list(v), []
@@ -201,8 +197,6 @@ def coordinates_in(s: Sublattice, v: Vector, rational: bool = False) -> Vector:
     sol = mo.solve_rational(mo.transpose(s.basis), v) if s.basis or not any(v) else None
     if sol is None:
         raise NotInLattice("vector is not in the rational span of the sublattice")
-    if rational:
-        return sol
     if any(x.denominator != 1 for x in sol):
         raise NotInLattice("vector is in the rational span but not in the sublattice")
     return tuple(x.numerator for x in sol)

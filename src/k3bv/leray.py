@@ -14,8 +14,6 @@ from fractions import Fraction
 from .cnum import QC
 from .domains import TubePoint, in_tube
 from .errors import K3BVError
-from .lattice import Sublattice
-from .mirror import MirrorSplit
 from .record import Record
 
 __all__ = ["SpectralTable", "Filtration", "TensorPeriod", "k3_table",
@@ -60,10 +58,8 @@ class Filtration(Record):
         return (self.dims[0],) + tuple(b - a for a, b in zip(self.dims, self.dims[1:]))
 
 
-def k3_table(r: int) -> SpectralTable:
-    """E2 table of the elliptic fibration on a K3; independent of r."""
-    if not 1 <= r <= 20:
-        raise K3BVError(f"rank of M must be in 1..20, got {r}")
+def k3_table() -> SpectralTable:
+    """E2 table of the elliptic fibration on a K3; the same for every M."""
     return SpectralTable((
         ((0, 0), (1, "Q")),
         ((2, 0), (1, "QE")),
@@ -149,19 +145,15 @@ class TensorPeriod(Record):
         return QC(0, 0)
 
 
-def bv_mirror_period(split: MirrorSplit, m_lattice: Sublattice,
-                     p1: TubePoint, p2: tuple) -> TensorPeriod:
+def bv_mirror_period(p1: TubePoint, p2: tuple) -> TensorPeriod:
     """Expand (B1 + E' + ((w1^2 - B1^2)/2) E + i w1) (x) (s_x + tau s_y).
 
     p1 is a tube point over M; p2 = (B2, omega2) is the elliptic factor,
-    tau = B2 + i omega2. The coefficient of E' (x) s_x is exactly 1, and
-    the input is recoverable from the components modulo the span of
+    tau = B2 + i omega2. E and E' are the symbolic hyperbolic pair of an
+    m = 1 split, E.E' = 1. The coefficient of E' (x) s_x is exactly 1,
+    and the input is recoverable from the components modulo the span of
     E (x) s_x and E (x) s_y.
     """
-    if split.m != 1:
-        raise K3BVError("the Borcea-Voisin mirror period needs an m = 1 split")
-    if p1.lattice != m_lattice:
-        raise K3BVError("p1 must be a tube point over the given M")
     if not in_tube(p1):
         raise K3BVError("p1 is not in the tube domain")
     b2, w2 = Fraction(p2[0]), Fraction(p2[1])

@@ -11,17 +11,15 @@ in T, and every split T = P + M-check is certified to have index one.
 from __future__ import annotations
 
 from functools import cached_property
-from itertools import product
 from operator import mul
 
 from . import matrixops as mo
 from .errors import AdmissibilityError, NotInLattice, SplittingError
-from .lattice import IntegerLattice, Sublattice, det_and_signature, orthogonal_complement
+from .lattice import IntegerLattice, Sublattice, orthogonal_complement
 from .matrixops import Matrix, Vector
 from .record import Record
 
-__all__ = ["AdmissiblePair", "MirrorSplit", "find_isotropic",
-           "check_admissible", "construct_mirror"]
+__all__ = ["AdmissiblePair", "MirrorSplit", "check_admissible", "construct_mirror"]
 
 
 class AdmissiblePair(Record):
@@ -68,30 +66,6 @@ class MirrorSplit(Record):
         """(a, b, c_1, ..., c_r) with v = aE + bE' + sum c_i M_i, for an
         integer vector v in T coordinates."""
         return tuple(sum(map(mul, v, col)) for col in self._inverse_columns)
-
-
-def find_isotropic(t: Sublattice, height: int = 3) -> list[Vector]:
-    """Primitive isotropic vectors of T with coefficients in [-height, height].
-
-    Deduplicated up to sign: the representative has its first nonzero
-    coordinate positive. Candidate generator only; admissibility still
-    has to be checked separately. A definite nondegenerate T has no
-    nonzero isotropic vector, so it returns [] without searching.
-    """
-    if height < 1:
-        raise AdmissibilityError(f"height must be >= 1, got {height}")
-    _, (pos, neg, zero) = det_and_signature(t.induced_lattice())
-    if zero == 0 and (pos == 0 or neg == 0):
-        return []
-    gram = t.gram()
-    n = t.rank
-    span = range(-height, height + 1)
-    # A zero prefix, a positive entry, a free tail: one tuple per sign class,
-    # longer prefixes first as in lexicographic order.
-    candidates = (c for z in reversed(range(n))
-                  for c in product(*[(0,)] * z, range(1, height + 1), *[span] * (n - z - 1)))
-    return [c for c in candidates
-            if mo.content(c) == 1 and mo.dot(c, mo.mat_vec(gram, c)) == 0]
 
 
 def check_admissible(t: Sublattice, e: Vector, e_prime: Vector, m: int) -> AdmissiblePair:

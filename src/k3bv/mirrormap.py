@@ -19,7 +19,6 @@ from . import matrixops as mo
 from .cnum import QC
 from .domains import PeriodVector, TubePoint, clear_denominators, in_period_domain
 from .errors import K3BVError, NormalizationError
-from .matrixops import Vector
 from .mirror import MirrorSplit
 from .record import Record
 

@@ -16,6 +16,47 @@ UU_JSON = ('{"ambient":{"gram":[[0,1,0,0],[1,0,0,0],[0,0,0,1],[0,0,1,0]]},'
            '"basis":[[1,0,0,0],[0,1,0,0],[0,0,1,0],[0,0,0,1]]}')
 
 
+LERAY_BV_TABLE = (
+    "q=3 | 1 [QE' (x) s_x] | 0 | 0 | 1 [Q]\n"
+    "q=2 | 0 | 19 [QE' (x) s_y + Mcheck_Q (x) s_x] | 3 [M_Q + Q] | 0\n"
+    "q=1 | 0 | 3 [M_Q + Q] | 19 [Mcheck_Q (x) s_y + QE (x) s_x] | 0\n"
+    "q=0 | 1 [Q] | 0 | 0 | 1 [Q]\n"
+    "      p=0 | p=1 | p=2 | p=3\n")
+BV_PERIOD = (
+    '{"components": [{"factor": "s_x", "im": "0", "label": "E", "re": "1"}, '
+    '{"factor": "s_y", "im": "1", "label": "E", "re": "0"}, '
+    '{"factor": "s_x", "im": "0", "label": "E\'", "re": "1"}, '
+    '{"factor": "s_y", "im": "1", "label": "E\'", "re": "0"}, '
+    '{"factor": "s_x", "im": "1", "label": "m0", "re": "0"}, '
+    '{"factor": "s_y", "im": "0", "label": "m0", "re": "-1"}, '
+    '{"factor": "s_x", "im": "1", "label": "m1", "re": "0"}, '
+    '{"factor": "s_y", "im": "0", "label": "m1", "re": "-1"}]}\n')
+VERIFY_ALL_JSON = (
+    '{"all_passed": true, "results": ['
+    '{"criterion": 1, "detail": "even, det = -1, signature (3,19)"'
+    ', "name": "K3 lattice certificate", "passed": true}, '
+    '{"criterion": 2, "detail": "rank 18, |det| match, double mirror recovers M"'
+    ', "name": "mirror-lattice splitting and double mirror", "passed": true}, '
+    '{"criterion": 3, "detail": "100 random points: quadrics exact, round trip exact"'
+    ', "name": "mirror map identities", "passed": true}, '
+    '{"criterion": 4, "detail": "100 points (64 on the primed slice): equivalence exact"'
+    ', "name": "primed-slice correspondence", "passed": true}, '
+    '{"criterion": 5, "detail": "square, isometry, invariant = M-check, anti-invariant = P + M"'
+    ', "name": "mirror involution", "passed": true}, '
+    '{"criterion": 6, "detail": "200 anti-symplectic maps in dims 2, 4, 6: defect = 0"'
+    ', "name": "anti-symplectic transpose identity", "passed": true}, '
+    '{"criterion": 7, "detail": "all 121 pairs: swap and Euler identities exact"'
+    ', "name": "Borcea-Voisin Hodge duality", "passed": true}, '
+    '{"criterion": 8, "detail": "1000 random censuses: totals, negation, involution exact"'
+    ', "name": "census accounting", "passed": true}, '
+    '{"criterion": 9, "detail": "bv tables r = 1..19, K3 sums, elliptic row swap exact"'
+    ', "name": "Leray degeneration", "passed": true}, '
+    '{"criterion": 10, "detail": "50 random inputs: anchor = 1, recovery exact"'
+    ', "name": "Borcea-Voisin mirror period", "passed": true}, '
+    '{"criterion": 11, "detail": "1000 rational points: all three equations and invariance exact"'
+    ', "name": "base quotient model", "passed": true}]}\n')
+
+
 def invoke(capsys, *argv):
     code = run(list(argv))
     out = capsys.readouterr().out
@@ -150,7 +191,7 @@ class TestLeray:
         code, out = invoke(capsys, "leray", "bv", "--rank", "2",
                            "--output", "table")
         assert code == 0
-        assert "19" in out and "q=3" in out
+        assert out == LERAY_BV_TABLE
 
     def test_bv_period(self, capsys):
         code, out = invoke(capsys, "leray", "bv-period", "--b1", "0,0",
@@ -160,6 +201,7 @@ class TestLeray:
                  for c in json.loads(out)["components"]}
         assert comps[("E'", "s_x")] == ("1", "0")
         assert comps[("m0", "s_y")] == ("-1", "0")
+        assert out == BV_PERIOD
 
     def test_file_input(self, capsys, tmp_path):
         path = tmp_path / "t.json"
@@ -168,6 +210,37 @@ class TestLeray:
                            "--e", "1,0,0,0", "--eprime", "0,1,0,0", "--m", "1")
         assert code == 0
         assert json.loads(out)["m"] == 1
+
+
+class TestOutputOption:
+    """Only the verbs with a table renderer take --output."""
+
+    @pytest.mark.parametrize("argv", [
+        ["lattice", "info", "--spec", "K3"],
+        ["mirror", "construct", "--lattice", UU_JSON, "--e", "1,0,0,0",
+         "--eprime", "0,1,0,0", "--m", "1"],
+        ["mirror", "phi", "--split", "{}", "--b", "0,0", "--omega", "1,1"],
+        ["mirror", "phi-inverse", "--split", "{}", "--re", "0", "--im", "0"],
+        ["hk", "table", "--lattice", "U", "--omega-re", "1,1", "--omega-im", "1,-1",
+         "--kahler", "1,1"],
+        ["bv", "hodge", "--n", "2", "--nprime", "10"],
+        ["census", "check", "--census", "{}"],
+        ["census", "dualize", "--census", "{}"],
+        ["leray", "bv-period", "--b1", "0,0", "--omega1", "1,1", "--b2", "0",
+         "--omega2", "1"],
+    ], ids=lambda argv: "-".join(argv[:2]))
+    @pytest.mark.parametrize("value", ["json", "table"])
+    def test_usage_error_without_a_renderer(self, capsys, argv, value):
+        assert run(argv + ["--output", value]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unrecognized arguments: --output" in captured.err
+        assert "Traceback" not in captured.err
+
+    def test_verify_all_json(self, capsys):
+        code, out = invoke(capsys, "verify", "all", "--output", "json")
+        assert code == 0
+        assert out == VERIFY_ALL_JSON
 
 
 class TestStrictInput:

@@ -122,7 +122,7 @@ class TestMirrorInvolution:
         from k3bv import direct_sum, hyperbolic_plane
         t = Sublattice.full(direct_sum(hyperbolic_plane(2), hyperbolic_plane(1)))
         split = construct_mirror(check_admissible(t, (1, 0, 0, 0), (0, 1, 0, 0), 2))
-        with pytest.raises(K3BVError, match="m = 1"):
+        with pytest.raises(K3BVError, match="m = 1, the Borcea-Voisin mirror condition"):
             mirror_involution(standard_rho, split)
 
     @pytest.mark.parametrize("signs", [(1,) * 6 + (-1,) * 16, (-1, -1, 1, 1) + (-1,) * 18],
@@ -202,26 +202,53 @@ class TestReflectionThrough:
     def test_full_sublattice_gives_identity(self, UU):
         assert reflection_through(Sublattice.full(UU)) == mo.identity(4)
 
-    @pytest.mark.parametrize("row", [(1, -1, 0, 0), (1, 0, 0, 0)],
-                             ids=["minus_two_root", "isotropic"])
+    @pytest.mark.parametrize("row", [(1, -2, 0, 0), (1, 0, 0, 0)],
+                             ids=["minus_four", "isotropic"])
     def test_non_splitting_line_rejected(self, UU, row):
-        # A -2 root gives C = G_P^-1 B G with entries 1/2; an isotropic
-        # vector has G_P = 0.
+        # A norm -4 vector e - 2f gives 2 pi_P with entries 1/2; an
+        # isotropic vector has G_P = 0.
         with pytest.raises(K3BVError, match="not integral"):
             reflection_through(Sublattice(UU, (row,)))
+
+    def test_minus_two_root_gives_minus_its_reflection(self, UU):
+        # For r.r = -2, 2 pi_P x = -(x.r) r is integral though L is not
+        # P + P-perp: r_P = -s_r, with s_r x = x + (x.r) r.
+        r = reflection_through(Sublattice(UU, ((1, -1, 0, 0),)))
+        assert r == ((0, -1, 0, 0), (-1, 0, 0, 0), (0, 0, -1, 0), (0, 0, 0, -1))
+
+    def test_u2_gives_an_involution(self, K3):
+        # P = U(2) spanned by e2 - e3 and f2 - f3: G_P^-1 has entries 1/2,
+        # so 2 pi_P is integral as L is unimodular.
+        unit = mo.identity(22)
+        p = Sublattice(K3, (mo.sub_vec(unit[2], unit[4]), mo.sub_vec(unit[3], unit[5])))
+        assert p.gram() == ((0, 2), (2, 0))
+        plus, minus = invariant_sublattices(LatticeInvolution(K3, reflection_through(p)))
+        assert same_sublattice(plus, p)
+        assert same_sublattice(minus, orthogonal_complement(p))
+
+    def test_u3_rejected(self, K3):
+        unit = mo.identity(22)
+        p = Sublattice(K3, (mo.add_vec(mo.add_vec(unit[0], unit[2]), unit[4]),
+                            mo.add_vec(mo.add_vec(unit[1], unit[3]), unit[5])))
+        assert p.gram() == ((0, 3), (3, 0))
+        with pytest.raises(K3BVError, match="not integral"):
+            reflection_through(p)
 
 
 def reference_reflection(p):
     """r_P from the basis of P followed by a basis of its complement:
-    columns * diag(1, ..., -1, ...) * columns^-1."""
+    columns * diag(1, ..., -1, ...) * columns^-1 over Q, raised unless it
+    is integral."""
     perp = orthogonal_complement(p)
     columns = mo.transpose(p.basis + perp.basis)
-    if abs(mo.bareiss_det(columns)) != 1:
-        raise K3BVError("L does not split integrally as P + P-perp")
     n = len(columns)
     signs = tuple(tuple((1 if i < p.rank else -1) if i == j else 0 for j in range(n))
                   for i in range(n))
-    return mo.mat_mul(mo.mat_mul(columns, signs), mo.integer_inverse(columns))
+    y, d = mo._inverse(columns)
+    r = mo.mat_mul(mo.mat_mul(columns, signs), y)
+    if any(x % d for row in r for x in row):
+        raise K3BVError("r_P is not integral")
+    return tuple(tuple(x // d for x in row) for row in r)
 
 
 K3_UNIT = mo.identity(22)
@@ -231,9 +258,13 @@ K3_ROOTS = ([mo.sub_vec(K3_UNIT[i], K3_UNIT[i + 1]) for i in (0, 2, 4)]
             + [K3_UNIT[i] for i in range(6, 22)]
             + [mo.add_vec(K3_UNIT[i], K3_UNIT[j]) for i, j in ((0, 6), (3, 15), (5, 20))])
 # Sublattices to conjugate: the second U (P of the catalog split), U + U,
-# U + E8, and the non-unimodular span(e2, 2 f2) and span(e2 + f2).
+# U + E8, and the non-unimodular span(e2, 2 f2), span(e2 + f2), U(2) and
+# U(3); r_P is integral for all but U(3).
 K3_PIECES = (K3_UNIT[2:4], K3_UNIT[:4], K3_UNIT[2:4] + K3_UNIT[6:14],
-             (K3_UNIT[2], mo.scale_vec(2, K3_UNIT[3])), (mo.add_vec(K3_UNIT[2], K3_UNIT[3]),))
+             (K3_UNIT[2], mo.scale_vec(2, K3_UNIT[3])), (mo.add_vec(K3_UNIT[2], K3_UNIT[3]),),
+             (mo.sub_vec(K3_UNIT[2], K3_UNIT[4]), mo.sub_vec(K3_UNIT[3], K3_UNIT[5])),
+             (mo.add_vec(mo.add_vec(K3_UNIT[0], K3_UNIT[2]), K3_UNIT[4]),
+              mo.add_vec(mo.add_vec(K3_UNIT[1], K3_UNIT[3]), K3_UNIT[5])))
 
 
 @settings(max_examples=40, deadline=None)

@@ -9,57 +9,9 @@ from hypothesis import given, settings, strategies as st
 
 from k3bv import (AdmissibilityError, AdmissiblePair, IntegerLattice, NotInLattice,
                   SplittingError, Sublattice, check_admissible, construct_mirror,
-                  det_and_signature, direct_sum, e8_minus, find_isotropic,
-                  hyperbolic_plane, pairing, same_sublattice)
+                  det_and_signature, direct_sum, hyperbolic_plane, pairing,
+                  same_sublattice)
 from k3bv import matrixops as mo
-
-
-class TestFindIsotropic:
-    def test_uu_contains_basis_vectors(self, UU):
-        found = find_isotropic(Sublattice.full(UU), height=1)
-        assert (1, 0, 0, 0) in found
-        assert (0, 1, 0, 0) in found
-
-    def test_definite_lattice_empty(self):
-        assert find_isotropic(Sublattice.full(e8_minus()), height=2) == []
-
-    def test_semidefinite_lattice_is_searched(self):
-        # Gram diag(2, 0) has no negative direction, but e2 spans its radical.
-        lat = IntegerLattice(((2, 0), (0, 0)))
-        assert find_isotropic(Sublattice.full(lat), height=2) == [(0, 1)]
-
-    def test_negative_semidefinite_sublattice_is_searched(self):
-        # Inside E8(-1) + U, span(root, e) is degenerate with radical e.
-        lat = direct_sum(e8_minus(), hyperbolic_plane(1))
-        root = tuple(int(i == 0) for i in range(10))
-        e = tuple(int(i == 8) for i in range(10))
-        assert find_isotropic(Sublattice(lat, (root, e)), height=1) == [(0, 1)]
-
-    def test_rank_two_indefinite_diagonal(self):
-        lat = IntegerLattice(((2, 0), (0, -2)))
-        found = find_isotropic(Sublattice.full(lat), height=1)
-        assert sorted(found) == [(1, -1), (1, 1)]
-
-    @pytest.mark.parametrize("height", [1, 2])
-    @pytest.mark.parametrize("gram", [
-        ((0, 1), (1, 0)),
-        ((0, 1, 0, 0), (1, 0, 0, 0), (0, 0, 0, 1), (0, 0, 1, 0)),
-        ((2, 1, 0), (1, 2, 0), (0, 0, 0)),  # positive semidefinite
-        ((2, 0, 0), (0, -2, 0), (0, 0, 0)),  # indefinite and degenerate
-    ])
-    def test_matches_filtered_enumeration(self, gram, height):
-        # The reference walks all (2h+1)^n tuples and keeps those whose
-        # first nonzero coordinate is positive.
-        t = Sublattice.full(IntegerLattice(gram))
-        expected = [c for c in product(range(-height, height + 1), repeat=len(gram))
-                    if any(c) and next(x for x in c if x) > 0 and mo.content(c) == 1
-                    and mo.dot(c, mo.mat_vec(gram, c)) == 0]
-        assert find_isotropic(t, height=height) == expected
-
-    def test_sign_dedup_and_primitivity(self, UU):
-        found = find_isotropic(Sublattice.full(UU), height=2)
-        assert (2, 0, 0, 0) not in found
-        assert all(next(c for c in v if c != 0) > 0 for v in found)
 
 
 class TestCheckAdmissible:
@@ -233,7 +185,10 @@ def um_grams(draw):
 @given(um_grams())
 def test_m_check_matches_saturated_image(lat):
     t = Sublattice.full(lat)
-    found = find_isotropic(t, height=1)
+    # Isotropic vectors with entries in {-1, 0, 1}, one of each sign pair;
+    # such vectors are primitive.
+    found = [c for c in product((-1, 0, 1), repeat=lat.rank)
+             if next((x for x in c if x), 0) > 0 and pairing(lat, c, c) == 0]
     checked = 0
     for e, ep in product(found, repeat=2):
         m = pairing(lat, e, ep)
