@@ -3,7 +3,7 @@
 The formulas apply to involutions whose fixed locus is N curves with
 exactly one of genus N' and the rest rational. The empty and
 two-elliptic-curve fixed loci are self-mirror and carried by a separate
-marker type; the numeric operations reject them.
+marker type, which the formulas reject and mirror_swap returns as is.
 """
 
 from __future__ import annotations
@@ -24,6 +24,8 @@ class BVData(Record):
     n_prime: int
 
     def __post_init__(self):
+        if not isinstance(self.n, int) or not isinstance(self.n_prime, int):
+            raise K3BVError("N and N' must be integers")
         if self.n < 1:
             raise K3BVError(f"N must be >= 1, got {self.n}")
         if self.n_prime < 0:
@@ -60,8 +62,10 @@ def euler_characteristic(d: BVData) -> int:
     return 12 * (d.n - d.n_prime)
 
 
-def mirror_swap(d: BVData) -> BVData:
-    """Interchange N and N'; no mirror family exists when N' = 0."""
+def mirror_swap(d: BVData | SelfMirrorLocus) -> BVData | SelfMirrorLocus:
+    """Interchange N and N' (no mirror when N' = 0); self-mirror loci map to themselves."""
+    if isinstance(d, SelfMirrorLocus):
+        return d
     if d.n_prime == 0:
         raise K3BVError("N' = 0: the family has no mirror")
     return BVData(d.n_prime, d.n)

@@ -9,14 +9,13 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
 from operator import mul
 from typing import Optional
 
 from . import matrixops as mo
 from .errors import DimensionMismatch, K3BVError
 from .lattice import Sublattice
-from .matrixops import Vector
+from .matrixops import Vector, clear_denominators
 from .mirror import MirrorSplit
 from .record import Record
 
@@ -28,12 +27,6 @@ def _check_coords(rank: int, v: Vector, what: str) -> Vector:
     if len(v) != rank:
         raise DimensionMismatch(f"{what} has length {len(v)}, lattice rank is {rank}")
     return tuple(Fraction(x) for x in v)
-
-
-def clear_denominators(v: Vector) -> tuple[tuple[int, ...], int]:
-    """(d * v, d) for the least d > 0 that makes d * v integral."""
-    d = lcm(*(x.denominator for x in v))
-    return tuple(x.numerator * (d // x.denominator) for x in v), d
 
 
 def _form(sub: Sublattice, v: Vector, w: Vector) -> Fraction:

@@ -41,6 +41,8 @@ class LatticeInvolution(Record):
         n = self.lattice.rank
         if len(a) != n or any(len(row) != n for row in a):
             raise DimensionMismatch("involution matrix must be rank x rank")
+        if any(not isinstance(x, int) for row in a for x in row):
+            raise DimensionMismatch("involution entries must be integers")
         if mo.mat_mul(a, a) != mo.identity(n):
             raise K3BVError("matrix does not square to the identity")
         ga = mo.mat_mul(self.lattice.gram, a)

@@ -10,6 +10,7 @@ its coordinates read off pivot by pivot.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from math import gcd
 
 from . import matrixops as mo
@@ -78,8 +79,8 @@ class Sublattice(Record):
             raise DimensionMismatch("generator entries must be integers")
         # The row HNF is the canonical key same_sublattice compares; its
         # last row is zero exactly when the rows are dependent. A basis
-        # already in HNF, with no zero row, is its own key.
-        hnf = b if mo.is_hermite_form(b) else mo.hermite_normal_form(b)
+        # already in HNF is its own key.
+        hnf = mo.hermite_normal_form(b)
         if hnf and not any(hnf[-1]):
             raise DimensionMismatch("generator rows must be linearly independent over Q")
         object.__setattr__(self, "_hnf", hnf)
@@ -183,6 +184,8 @@ def coordinates_in(s: Sublattice, v: Vector) -> Vector:
     """Integer coordinates of an ambient vector of S in the basis of S."""
     if len(v) != s.ambient.rank:
         raise DimensionMismatch("vector length does not match ambient rank")
+    if any(not isinstance(x, (int, Fraction)) for x in v):
+        raise DimensionMismatch("vector entries must be integers or fractions")
     if s._hnf is s.basis and all(isinstance(x, int) for x in v):
         # Pivot by pivot on an HNF basis: x_i = r[c_i] // p_i, r -= x_i b_i. A
         # remainder stays in r, so r = 0 proves membership; else solve below.

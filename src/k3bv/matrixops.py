@@ -1,21 +1,22 @@
 """Exact matrix arithmetic over Z and Q.
 
 Matrices are tuples of tuples (rows); vectors are tuples. Entries are
-Python ints or fractions.Fraction. Rank, solutions and inverses come
-from one fraction-free (Bareiss) Gauss-Jordan kernel over int; a Fraction
-is built only for a result; a determinant eliminates forward only. Integer
-kernels, saturation and the Smith normal form come from one row Hermite
-normal form routine, and the kernel and saturation bases are returned in
-Hermite normal form, so they are canonical. Lattice equality compares
-Hermite normal forms; one scan recognises a matrix already in that form.
-Ranks in this package never exceed 22. The product a b skips the zero
-entries of each row of a that is at least half zero.
+Python ints or fractions.Fraction. One row Hermite normal form routine
+is the elimination kernel: ranks, solutions and inverses are read off
+the form of the denominator-cleared rows of [a | rhs] by one integer
+back-substitution, a Fraction is built only for a result, and integer
+kernels, saturation and the Smith normal form come from it too, with
+canonical kernel and saturation bases in that form. Lattice equality
+compares Hermite normal forms; one scan recognises a matrix already in
+that form. A determinant eliminates forward only. Ranks in this package
+never exceed 22. The product a b skips the zero entries of each row of a
+that is at least half zero.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from operator import mul
 
 from .errors import DimensionMismatch
@@ -117,56 +118,42 @@ def bareiss_det(a: Matrix) -> int:
     return sign * prev
 
 
-def _echelon(a: Matrix, ncols: int) -> tuple[list[list[int]], list[int], int]:
-    """Fraction-free Gauss-Jordan elimination (Bareiss) of the rows of a.
+def clear_denominators(v: Vector) -> tuple[tuple[int, ...], int]:
+    """(d * v, d) for the least d > 0 that makes d * v integral."""
+    d = lcm(*(x.denominator for x in v))
+    return tuple(x.numerator * (d // x.denominator) for x in v), d
 
-    Each row is first multiplied by the lcm of its denominators, which
-    keeps its span. Column by column over the first ncols columns, the
-    first remaining row with a nonzero entry becomes the pivot row and
-    every other row is updated as (p * row - f * pivot_row) / prev, an
-    exact division by the previous pivot. Returns the integer rows (pivot
-    rows first, in column order), the pivot columns and the last pivot d;
-    the pivot columns then read d times the identity.
-    """
-    rows = []
-    for row in a:
-        den = lcm(*{x.denominator for x in row})
-        rows.append([x.numerator * (den // x.denominator) for x in row] if den > 1
-                    else [x.numerator for x in row])
-    m = len(rows)
-    pivots: list[int] = []
-    prev = 1
-    for c in range(ncols):
-        r = len(pivots)
-        if r == m:
-            break
-        piv = next((i for i in range(r, m) if rows[i][c]), None)
-        if piv is None:
-            continue
-        if piv != r:
-            rows[r], rows[piv] = rows[piv], rows[r]
-        prow = rows[r]
-        p = prow[c]
-        for i, row in enumerate(rows):
-            f = row[c]
-            if f and i != r:
-                rows[i] = [(p * x - f * y) // prev for x, y in zip(row, prow)]
-            elif not f and p != prev:
-                rows[i] = [p * x // prev for x in row]
-        pivots.append(c)
-        prev = p
-    return rows, pivots, prev
+
+def _solve(a: Matrix, rhs) -> tuple[list[int], list[list[int]], int] | None:
+    """(pivot columns c, X, d) for a x = rhs, or None if it is inconsistent.
+    h is the row HNF of the denominator-cleared rows of [a | rhs] over the
+    columns of a; a zero row of a beside a nonzero rhs has no solution. With
+    d the product of the pivots, X_i = (d rhs_i - sum_(k > i) h_i[c_k] X_k) /
+    h_i[c_i] is exact bottom-up, and x_(c_i) = X_i / d, others 0, solves it."""
+    n = len(a[0]) if a else 0
+    rows = _hermite([list(clear_denominators((*row, *r))[0]) for row, r in zip(a, rhs)], n)
+    pivots = [next(j for j, x in enumerate(row) if x) for row in rows if any(row[:n])]
+    if any(any(row[n:]) for row in rows[len(pivots):]):
+        return None
+    d = prod(row[c] for row, c in zip(rows, pivots))
+    for i in reversed(range(len(pivots))):
+        row = rows[i]
+        later = [(row[c], x) for c, x in zip(pivots[i + 1:], rows[i + 1:]) if row[c]]
+        row[n:] = [(d * y - sum(h * x[j] for h, x in later)) // row[pivots[i]]
+                   for j, y in enumerate(row[n:], n)]
+    return pivots, [row[n:] for row in rows[:len(pivots)]], d
 
 
 def _inverse(a: Matrix) -> tuple[list[list[int]], int]:
-    """(Y, d) with a^-1 = Y / d; raises on non-square or singular input."""
+    """(Y, d) with a^-1 = Y / d and d > 0, d = |det a| for integer a;
+    raises on non-square or singular input."""
     n = len(a)
     if any(len(row) != n for row in a):
         raise DimensionMismatch("inverse of a non-square matrix")
-    rows, pivots, d = _echelon([tuple(row) + e for row, e in zip(a, identity(n))], n)
-    if len(pivots) < n:
+    solved = _solve(a, identity(n))
+    if solved is None:
         raise DimensionMismatch("matrix is singular over Q")
-    return [row[n:] for row in rows], d
+    return solved[1:]
 
 
 def rational_inverse(a: Matrix) -> Matrix:
@@ -176,11 +163,12 @@ def rational_inverse(a: Matrix) -> Matrix:
 
 
 def integer_inverse(a: Matrix) -> Matrix:
-    """Inverse of a unimodular integer matrix, returned over Z."""
+    """Inverse of a unimodular integer matrix, returned over Z: with d = 1
+    the Hermite form of a is I, and Y is its transform."""
     y, d = _inverse(a)
-    if abs(d) != 1:
+    if d != 1:
         raise DimensionMismatch("matrix is not unimodular")
-    return freeze((x * d for x in row) for row in y)
+    return freeze(y)
 
 
 def solve_rational(a: Matrix, b: Vector) -> Vector | None:
@@ -188,18 +176,18 @@ def solve_rational(a: Matrix, b: Vector) -> Vector | None:
 
     `a` is m x n acting on column vectors; free variables are set to 0.
     """
-    n = len(a[0]) if a else 0
-    rows, pivots, d = _echelon([tuple(row) + (bv,) for row, bv in zip(a, b)], n)
-    if any(row[n] for row in rows[len(pivots):]):
+    solved = _solve(a, ((x,) for x in b))
+    if solved is None:
         return None
-    x = [Fraction(0)] * n
-    for row, c in zip(rows, pivots):
-        x[c] = Fraction(row[n], d)
+    pivots, xs, d = solved
+    x = [Fraction(0)] * (len(a[0]) if a else 0)
+    for c, (xc,) in zip(pivots, xs):
+        x[c] = Fraction(xc, d)
     return tuple(x)
 
 
 def rank_rational(a: Matrix) -> int:
-    return len(_echelon(a, len(a[0]) if a else 0)[1])
+    return len(_solve(a, ((),) * len(a))[0])
 
 
 def _hermite(rows: list[list[int]], ncols: int) -> list[list[int]]:
@@ -238,8 +226,11 @@ def _hermite(rows: list[list[int]], ncols: int) -> list[list[int]]:
 
 
 def hermite_normal_form(a: Matrix) -> Matrix:
-    """Row Hermite normal form of an integer matrix. Two matrices generate
-    the same lattice exactly when their forms agree (Cohen, Sec. 2.4.2)."""
+    """Row Hermite normal form of an integer matrix, a itself if already in
+    that form. Two matrices generate the same lattice exactly when their
+    forms agree (Cohen, Sec. 2.4.2)."""
+    if is_hermite_form(a):
+        return a
     return freeze(_hermite([list(row) for row in a], len(a[0]) if a else 0))
 
 
@@ -257,7 +248,7 @@ def _kernel(a: Matrix, n: int) -> Matrix:
     m = len(a)
     rows = _hermite([[row[j] for row in a] + [int(i == j) for i in range(n)]
                      for j in range(n)], m)
-    return tuple(row[m:] for row in rows if not any(row[:m]))
+    return freeze(row[m:] for row in rows if not any(row[:m]))
 
 
 def integer_kernel(a: Matrix) -> Matrix:

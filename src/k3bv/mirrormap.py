@@ -17,7 +17,7 @@ from math import lcm
 
 from . import matrixops as mo
 from .cnum import QC
-from .domains import PeriodVector, TubePoint, clear_denominators, in_period_domain
+from .domains import PeriodVector, TubePoint, in_period_domain
 from .errors import K3BVError, NormalizationError
 from .mirror import MirrorSplit
 from .record import Record
@@ -50,8 +50,8 @@ def phi(split: MirrorSplit, p: TubePoint) -> PeriodVector:
     m = split.m
     e, ep = split.pair.e, split.pair.e_prime
     # Coordinates of B and omega inside T, over int: B = nb / db.
-    nb, db = clear_denominators(p.b)
-    nw, dw = clear_denominators(p.omega)
+    nb, db = mo.clear_denominators(p.b)
+    nw, dw = mo.clear_denominators(p.omega)
     b_t = mo.vec_mat(nb, split.m_check.basis)
     w_t = mo.vec_mat(nw, split.m_check.basis)
     b_sq = p.b_sq()
@@ -78,7 +78,7 @@ def phi_inverse(split: MirrorSplit, om: PeriodVector) -> TubePoint:
         raise K3BVError("period vector must live over the T of the split")
     # Omega = (x + i y) / d in the basis (E, E', M-check) of T; the common
     # denominator d cancels in the normalization below.
-    num, _ = clear_denominators(om.re + om.im)
+    num, _ = mo.clear_denominators(om.re + om.im)
     rank = split.t.rank
     x = split.split_coordinates(num[:rank])
     y = split.split_coordinates(num[rank:])

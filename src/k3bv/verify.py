@@ -35,6 +35,12 @@ from .record import Record
 SEED = 20260823
 
 
+def _check(cond: bool, msg: str = "") -> None:
+    """An assert that python -O keeps: raise AssertionError(msg) unless cond."""
+    if not cond:
+        raise AssertionError(msg)
+
+
 class CriterionResult(Record):
     number: int
     name: str
@@ -60,29 +66,29 @@ def criterion_1() -> str:
     """K3 lattice certificate."""
     l = k3_lattice()
     det, (p, n, z) = det_and_signature(l)
-    assert l.rank == 22, f"rank {l.rank}"
-    assert l.is_even(), "not even"
-    assert det == -1, f"det {det}"
-    assert (p, n, z) == (3, 19, 0), f"signature {(p, n, z)}"
+    _check(l.rank == 22, f"rank {l.rank}")
+    _check(l.is_even(), "not even")
+    _check(det == -1, f"det {det}")
+    _check((p, n, z) == (3, 19, 0), f"signature {(p, n, z)}")
     return "even, det = -1, signature (3,19)"
 
 
 def criterion_2() -> str:
     """Mirror-lattice splitting and the m = 1 double mirror."""
     l, m, t, split = _k3_setup()
-    assert split.m_check.rank == 18, f"rank M-check = {split.m_check.rank}"
+    _check(split.m_check.rank == 18, f"rank M-check = {split.m_check.rank}")
     det_t = mo.bareiss_det(t.gram())
     det_mc = mo.bareiss_det(split.m_check.gram())
-    assert abs(det_t) == abs(det_mc), f"|det T| = {abs(det_t)}, |det M-check| = {abs(det_mc)}"
+    _check(abs(det_t) == abs(det_mc), f"|det T| = {abs(det_t)}, |det M-check| = {abs(det_mc)}")
     # Double mirror: repeat inside the complement of M-check.
     mc_in_l = t.compose(split.m_check)
     t2 = orthogonal_complement(mc_in_l)
-    assert t2.rank == 4
+    _check(t2.rank == 4)
     e2 = coordinates_in(t2, tuple(1 if i == 2 else 0 for i in range(22)))
     e3 = coordinates_in(t2, tuple(1 if i == 3 else 0 for i in range(22)))
     split2 = construct_mirror(check_admissible(t2, e2, e3, 1))
     gram2 = split2.m_check.gram()
-    assert gram2 == m.gram(), f"double-mirror Gram {gram2} != {m.gram()}"
+    _check(gram2 == m.gram(), f"double-mirror Gram {gram2} != {m.gram()}")
     return "rank 18, |det| match, double mirror recovers M"
 
 
@@ -133,10 +139,10 @@ def criterion_3() -> str:
     for p in pts:
         om = phi(split, p)
         real, imag = om.omega_dot_omega()
-        assert real == 0 and imag == 0, "Omega.Omega != 0"
-        assert om.omega_dot_conjugate() == 2 * p.omega_sq(), "Omega.conj != 2 omega^2"
+        _check(real == 0 and imag == 0, "Omega.Omega != 0")
+        _check(om.omega_dot_conjugate() == 2 * p.omega_sq(), "Omega.conj != 2 omega^2")
         back = phi_inverse(split, om)
-        assert back.b == p.b and back.omega == p.omega, "round trip failed"
+        _check(back.b == p.b and back.omega == p.omega, "round trip failed")
     return "100 random points: quadrics exact, round trip exact"
 
 
@@ -150,9 +156,9 @@ def criterion_4() -> str:
         om = phi(split, p)
         lhs = in_primed(p, split)
         rhs = in_primed(om, split)
-        assert lhs == rhs, "primed membership disagrees across phi"
+        _check(lhs == rhs, "primed membership disagrees across phi")
         n_primed += lhs
-    assert 0 < n_primed < 100, "sample missed one side of the correspondence"
+    _check(0 < n_primed < 100, "sample missed one side of the correspondence")
     return f"100 points ({n_primed} on the primed slice): equivalence exact"
 
 
@@ -163,15 +169,15 @@ def criterion_5() -> str:
                        for i in range(22))
     rho = LatticeInvolution(l, rho_matrix)
     plus, minus = invariant_sublattices(rho)
-    assert same_sublattice(plus, m)
-    assert same_sublattice(minus, t)
+    _check(same_sublattice(plus, m))
+    _check(same_sublattice(minus, t))
     checked = mirror_involution(rho, split)  # constructor enforces square + isometry
     plus_c, minus_c = invariant_sublattices(checked)
     mc_in_l = t.compose(split.m_check)
-    assert same_sublattice(plus_c, mc_in_l), "invariant lattice is not M-check"
+    _check(same_sublattice(plus_c, mc_in_l), "invariant lattice is not M-check")
     p_in_l = t.compose(split.p)
     pm = saturation(Sublattice(l, p_in_l.basis + m.basis))
-    assert same_sublattice(minus_c, pm), "anti-invariant lattice is not P + M"
+    _check(same_sublattice(minus_c, pm), "anti-invariant lattice is not P + M")
     return "square, isometry, invariant = M-check, anti-invariant = P + M"
 
 
@@ -211,7 +217,7 @@ def criterion_6() -> str:
             v = _random_symplectic(space, rng)
             anti = mo.mat_mul(mo.mat_mul(u, seed_map), v)
             defect = transpose_defect(space, space, anti)
-            assert all(x == 0 for row in defect for x in row), "nonzero defect"
+            _check(all(x == 0 for row in defect for x in row), "nonzero defect")
     return "200 anti-symplectic maps in dims 2, 4, 6: defect = 0"
 
 
@@ -222,11 +228,11 @@ def criterion_7() -> str:
             d = BVData(n, np_)
             h = hodge_numbers(d)
             e = euler_characteristic(d)
-            assert e == 12 * (n - np_) == 2 * (h.h11 - h.h21)
+            _check(e == 12 * (n - np_) == 2 * (h.h11 - h.h21))
             s = mirror_swap(d)
             hs = hodge_numbers(s)
-            assert (hs.h11, hs.h21) == (h.h21, h.h11)
-            assert euler_characteristic(s) == -e
+            _check((hs.h11, hs.h21) == (h.h21, h.h11))
+            _check(euler_characteristic(s) == -e)
     return "all 121 pairs: swap and Euler identities exact"
 
 
@@ -264,23 +270,23 @@ def criterion_8() -> str:
         c = _random_census(rng)
         validate_census(c)
         e = total_euler(c)
-        assert e == 12 * (c.bv.n - c.bv.n_prime)
+        _check(e == 12 * (c.bv.n - c.bv.n_prime))
         d = dualize_census(c)
-        assert total_euler(d) == -e
-        assert dualize_census(d) == c, "dualize is not an involution"
+        _check(total_euler(d) == -e)
+        _check(dualize_census(d) == c, "dualize is not an involution")
     return "1000 random censuses: totals, negation, involution exact"
 
 
 def criterion_9() -> str:
     """Leray degeneration cross-checks."""
     for r in range(1, 20):
-        assert check_degeneration(bv_table(r), y_betti(r)), f"bv_table({r})"
+        _check(check_degeneration(bv_table(r), y_betti(r)), f"bv_table({r})")
     sums = k3_table().antidiagonal_sums()
-    assert sums == [1, 0, 22, 0, 1], f"k3 sums {sums}"
+    _check(sums == [1, 0, 22, 0, 1], f"k3 sums {sums}")
     et = elliptic_table()
     swapped = swap_rows(et)
-    assert swapped.antidiagonal_sums() == et.antidiagonal_sums(), "row swap changed sums"
-    assert swap_rows(swapped).as_dict() == et.as_dict(), "row swap is not an involution"
+    _check(swapped.antidiagonal_sums() == et.antidiagonal_sums(), "row swap changed sums")
+    _check(swap_rows(swapped).as_dict() == et.as_dict(), "row swap is not an involution")
     return "bv tables r = 1..19, K3 sums, elliptic row swap exact"
 
 
@@ -298,10 +304,10 @@ def criterion_10() -> str:
         b2 = Fraction(rng.randint(-9, 9), rng.choice((1, 2)))
         w2 = Fraction(rng.randint(1, 9), rng.choice((1, 2)))
         tp = bv_mirror_period(p1, (b2, w2))
-        assert tp.coefficient("E'", "s_x") == QC(1, 0), "anchor coefficient != 1"
+        _check(tp.coefficient("E'", "s_x") == QC(1, 0), "anchor coefficient != 1")
         rb1, rw1, (rb2, rw2) = recover_period_inputs(tp, 2)
-        assert rb1 == p1.b and rw1 == p1.omega
-        assert (rb2, rw2) == (b2, w2)
+        _check(rb1 == p1.b and rw1 == p1.omega)
+        _check((rb2, rw2) == (b2, w2))
     return "50 random inputs: anchor = 1, recovery exact"
 
 
@@ -322,11 +328,11 @@ def criterion_11() -> str:
         u, v = _circle_point(t3)
         p = BasePoint(a * c, a * s, b, u, v)
         X, Y, Z, U, V, W = base_embed(p)
-        assert X * X + Y * Y + Z == 1
-        assert U * U + V == 1
-        assert W * W == Z * V
-        assert Z >= 0 and V >= 0
-        assert base_embed(p.involution_image()) == (X, Y, Z, U, V, W)
+        _check(X * X + Y * Y + Z == 1)
+        _check(U * U + V == 1)
+        _check(W * W == Z * V)
+        _check(Z >= 0 and V >= 0)
+        _check(base_embed(p.involution_image()) == (X, Y, Z, U, V, W))
     return "1000 rational points: all three equations and invariance exact"
 
 

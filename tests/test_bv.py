@@ -1,5 +1,7 @@
 """Hodge numbers, Euler characteristic, and the mirror swap."""
 
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -46,6 +48,10 @@ class TestMirrorSwap:
         d = BVData(6, 2)
         assert mirror_swap(mirror_swap(d)) == d
 
+    @pytest.mark.parametrize("marker", list(SelfMirrorLocus))
+    def test_self_mirror_marker_is_its_own_mirror(self, marker):
+        assert mirror_swap(marker) is marker
+
     def test_no_mirror_when_nprime_zero(self):
         with pytest.raises(K3BVError, match="N' = 0"):
             mirror_swap(BVData(2, 0))
@@ -60,6 +66,12 @@ class TestValidation:
         with pytest.raises(K3BVError):
             BVData(1, -1)
         assert BVData(1, 0).n_prime == 0
+
+    @pytest.mark.parametrize("n,np_", [(1.5, 2), (2, 2.0), (Fraction(3), 1), ("2", 1)])
+    def test_non_int_fields_rejected(self, n, np_):
+        # 1.5 would give the Hodge pair (16.5, 19.5).
+        with pytest.raises(K3BVError, match="^N and N' must be integers$"):
+            hodge_numbers(BVData(n, np_))
 
 
 @given(st.integers(1, 11), st.integers(1, 11))

@@ -1,6 +1,7 @@
 """Lattice involutions, the mirror involution, the symplectic transpose
 identity, and real fiber dualization."""
 
+from fractions import Fraction
 from itertools import permutations, product
 
 import pytest
@@ -63,6 +64,13 @@ class TestLatticeInvolution:
                 with pytest.raises(K3BVError, match="does not preserve the bilinear form"):
                     LatticeInvolution(lattice, a)
         assert len(candidates) == 152 and 0 < accepted < 152
+
+    @pytest.mark.parametrize("entry", [0.0, Fraction(0)])
+    def test_rejects_non_int_entries(self, U, entry):
+        # A swap of e and f with an inexact zero would otherwise pass both
+        # checks.
+        with pytest.raises(K3BVError, match="^involution entries must be integers$"):
+            LatticeInvolution(U, ((entry, 1), (1, 0)))
 
 
 class TestInvariantSublattices:

@@ -440,6 +440,19 @@ class TestHermiteKey:
         v = mo.add_vec(mo.scale_vec(3, rows[0]), mo.scale_vec(-2, rows[1]))
         assert coordinates_in(s, v) == (3, -2)
 
+    def test_kernel_basis_takes_the_triangular_path(self, K3, monkeypatch):
+        # integer_kernel hands back its HNF rows without a second pass, and
+        # the complement's basis is then its own key.
+        comp = orthogonal_complement(Sublattice(K3, (mo.identity(22)[0],)))
+        assert comp._hnf is comp.basis
+
+        def no_solve(a, b):
+            raise AssertionError("solve_rational called on an HNF basis")
+
+        monkeypatch.setattr(mo, "solve_rational", no_solve)
+        x = tuple(range(-10, 11))
+        assert coordinates_in(comp, mo.vec_mat(x, comp.basis)) == x
+
     def test_induced_lattice_is_cached(self, UU):
         s = Sublattice(UU, ((1, 1, 0, 0), (0, 0, 1, -1)))
         assert s.induced_lattice() is s.induced_lattice()
@@ -454,6 +467,16 @@ class TestDivisibilityPrimitivity:
 
     def test_divisibility_doubled(self, U):
         assert divisibility(Sublattice.full(U), (2, 0)) == 2
+
+    @pytest.mark.parametrize("v", [(1.0, 0), (0, 0.5), (2, float("nan"))])
+    def test_float_entries_rejected(self, UU, v):
+        s = Sublattice(UU, ((1, 0, 0, 0), (0, 1, 0, 0)))
+        v = v + (0, 0)
+        message = "^vector entries must be integers or fractions$"
+        with pytest.raises(DimensionMismatch, match=message):
+            coordinates_in(s, v)
+        with pytest.raises(DimensionMismatch, match=message):
+            divisibility(s, v)
 
     def test_zero_vector_rejected(self, U):
         with pytest.raises(NotInLattice):

@@ -1,4 +1,4 @@
-"""The fraction-free elimination kernel and Hermite-form lattice equality,
+"""The Hermite-form elimination kernel and Hermite-form lattice equality,
 checked against a plain Fraction Gauss-Jordan reference."""
 
 import hashlib
@@ -258,6 +258,24 @@ class TestKernelAgainstReference:
             assert inv == expected
             assert all(isinstance(x, Fraction) for row in inv for x in row)
 
+    @given(st.sampled_from(sorted(nonzero_entries)).flatmap(
+        lambda kind: matrices(entries=st.one_of(st.just(0), nonzero_entries[kind]), square=True)))
+    @example(((0, 2), (3, 1)))
+    @example(((Fraction(1, 2), 0), (1, Fraction(-2, 3))))
+    def test_inverse_contract(self, a):
+        # a^-1 = Y / d with d > 0, and d = |det a| for an integer a.
+        if ref_det(a) == 0:
+            with pytest.raises(DimensionMismatch, match="^matrix is singular over Q$"):
+                mo._inverse(a)
+            return
+        y, d = mo._inverse(a)
+        assert type(d) is int and d > 0
+        assert all(type(x) is int for row in y for x in row)
+        if all(type(x) is int for row in a for x in row):
+            assert d == abs(mo.bareiss_det(a))
+        inv = mo.freeze((Fraction(x, d) for x in row) for row in y)
+        assert mo.mat_mul(inv, a) == mo.identity(len(a))
+
     @given(st.integers(0, 6).flatmap(unimodular))
     def test_integer_inverse_of_unimodular(self, u):
         inv = mo.integer_inverse(u)
@@ -384,6 +402,8 @@ class TestHermiteKernels:
     @given(matrices(entries=ints))
     def test_integer_kernel(self, a):
         k = mo.integer_kernel(a)
+        assert type(k) is tuple and all(type(row) is tuple for row in k)
+        assert mo.hermite_normal_form(k) is k
         assert len(k) == ncols(a) - ref_rank(a)
         assert all(not any(mo.mat_vec(a, v)) for v in k)
         assert k == mo.hermite_normal_form(k)

@@ -1,6 +1,9 @@
 """verify.run_all records a failing criterion instead of aborting."""
 
 import json
+import os
+import subprocess
+import sys
 
 from k3bv import verify
 from k3bv.cli import run
@@ -33,3 +36,16 @@ def test_verify_all_prints_fail_line(monkeypatch, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["all_passed"] is False
     assert [r["passed"] for r in payload["results"]] == [True, False, True]
+
+
+def test_sabotaged_criterion_fails_under_python_O():
+    # python -O strips assert statements; the criteria must check without them.
+    src = os.path.dirname(os.path.dirname(os.path.abspath(verify.__file__)))
+    code = ("import sys; from k3bv import verify; from k3bv.cli import run; "
+            "verify.euler_characteristic = lambda d: 999; sys.exit(run(['verify', 'all']))")
+    proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 1, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert [line.split()[0] for line in lines if "FAIL" in line] == ["7"]
+    assert lines[6].endswith("FAIL  assertion failed")
