@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from enum import Enum
 
+from . import matrixops as mo
 from .errors import K3BVError
 from .record import Record
 
@@ -24,8 +25,7 @@ class BVData(Record):
     n_prime: int
 
     def __post_init__(self):
-        if not isinstance(self.n, int) or not isinstance(self.n_prime, int):
-            raise K3BVError("N and N' must be integers")
+        mo.check_integers("N and N'", (self.n, self.n_prime))
         if self.n < 1:
             raise K3BVError(f"N must be >= 1, got {self.n}")
         if self.n_prime < 0:

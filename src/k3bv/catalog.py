@@ -7,6 +7,7 @@ the package relies on this ordering.
 
 from __future__ import annotations
 
+from . import matrixops as mo
 from .errors import K3BVError
 from .lattice import IntegerLattice, direct_sum
 
@@ -18,6 +19,7 @@ _E8_EDGES = ((0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (4, 7))
 
 def hyperbolic_plane(m: int = 1) -> IntegerLattice:
     """The rank-2 lattice U(m) with Gram [[0, m], [m, 0]]."""
+    mo.check_integers("m", (m,))
     if m < 1:
         raise K3BVError(f"hyperbolic plane needs m >= 1, got {m}")
     return IntegerLattice(((0, m), (m, 0)))

@@ -11,6 +11,7 @@ from collections import Counter
 from enum import Enum
 from fractions import Fraction
 
+from . import matrixops as mo
 from .bv import BVData, mirror_swap
 from .errors import CensusError, K3BVError
 from .involution import RealFiberType, real_fiber_dual
@@ -144,9 +145,7 @@ class BasePoint(Record):
     v: Fraction
 
     def __post_init__(self):
-        for name in ("x", "y", "z", "u", "v"):
-            if not isinstance(c := getattr(self, name), Fraction):
-                object.__setattr__(self, name, Fraction(c))
+        mo.check_rationals("base point coordinates", self._values())
         if self.x * self.x + self.y * self.y + self.z * self.z != 1:
             raise K3BVError("(x, y, z) is not on the unit two-sphere")
         if self.u * self.u + self.v * self.v != 1:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from . import matrixops as mo
 from .errors import K3BVError
 from .record import Record
 
@@ -15,6 +16,7 @@ class QC(Record):
     im: Fraction = Fraction(0)
 
     def __post_init__(self):
+        mo.check_rationals("real and imaginary parts", (self.re, self.im))
         object.__setattr__(self, "re", Fraction(self.re))
         object.__setattr__(self, "im", Fraction(self.im))
 

@@ -15,7 +15,7 @@ from typing import Optional
 from . import matrixops as mo
 from .errors import DimensionMismatch, K3BVError
 from .lattice import Sublattice
-from .matrixops import Vector, clear_denominators
+from .matrixops import Vector, check_rationals, clear_denominators
 from .mirror import MirrorSplit
 from .record import Record
 
@@ -26,7 +26,8 @@ __all__ = ["TubePoint", "PeriodVector", "in_tube", "in_period_domain",
 def _check_coords(rank: int, v: Vector, what: str) -> Vector:
     if len(v) != rank:
         raise DimensionMismatch(f"{what} has length {len(v)}, lattice rank is {rank}")
-    return tuple(Fraction(x) for x in v)
+    check_rationals(f"{what} coordinates", v)
+    return tuple(v)
 
 
 def _form(sub: Sublattice, v: Vector, w: Vector) -> Fraction:

@@ -11,7 +11,7 @@ from fractions import Fraction
 
 from .errors import K3BVError, NormalizationError
 from .lattice import IntegerLattice, pairing
-from .matrixops import Vector
+from .matrixops import Vector, check_rationals
 from .record import Record
 
 __all__ = ["RotationRow", "RotationTable", "UnitPhase", "rotation_table", "phase_rotate"]
@@ -38,8 +38,7 @@ class UnitPhase(Record):
     s: Fraction
 
     def __post_init__(self):
-        object.__setattr__(self, "c", Fraction(self.c))
-        object.__setattr__(self, "s", Fraction(self.s))
+        check_rationals("c and s", (self.c, self.s))
         if self.c * self.c + self.s * self.s != 1:
             raise K3BVError(f"({self.c})^2 + ({self.s})^2 != 1: not a unit phase")
 
@@ -56,9 +55,7 @@ def rotation_table(omega_re: Vector, omega_im: Vector, kahler: Vector,
     omega^2 > 0 with all three classes pairwise orthogonal; the failing
     equality is named in the error.
     """
-    re = tuple(Fraction(x) for x in lattice.check_vector(omega_re))
-    im = tuple(Fraction(x) for x in lattice.check_vector(omega_im))
-    w = tuple(Fraction(x) for x in lattice.check_vector(kahler))
+    re, im, w = map(lattice.check_vector, (omega_re, omega_im, kahler))
     re2, im2, w2 = (pairing(lattice, x, x) for x in (re, im, w))
     if re2 != im2:
         raise NormalizationError(f"(ReOmega)^2 = {re2} != (ImOmega)^2 = {im2}")
@@ -82,8 +79,7 @@ def phase_rotate(omega_re: Vector, omega_im: Vector, theta: UnitPhase) -> tuple[
     """Multiply Omega by the phase c + i*s: an exact rational rotation."""
     if len(omega_re) != len(omega_im):
         raise K3BVError("re and im parts have different lengths")
-    re = tuple(Fraction(x) for x in omega_re)
-    im = tuple(Fraction(x) for x in omega_im)
-    new_re = tuple(theta.c * r - theta.s * i for r, i in zip(re, im))
-    new_im = tuple(theta.s * r + theta.c * i for r, i in zip(re, im))
+    check_rationals("Omega coordinates", omega_re, omega_im)
+    new_re = tuple(theta.c * r - theta.s * i for r, i in zip(omega_re, omega_im))
+    new_im = tuple(theta.s * r + theta.c * i for r, i in zip(omega_re, omega_im))
     return new_re, new_im

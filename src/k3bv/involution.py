@@ -41,8 +41,7 @@ class LatticeInvolution(Record):
         n = self.lattice.rank
         if len(a) != n or any(len(row) != n for row in a):
             raise DimensionMismatch("involution matrix must be rank x rank")
-        if any(not isinstance(x, int) for row in a for x in row):
-            raise DimensionMismatch("involution entries must be integers")
+        mo.check_integers("involution entries", *a)
         if mo.mat_mul(a, a) != mo.identity(n):
             raise K3BVError("matrix does not square to the identity")
         ga = mo.mat_mul(self.lattice.gram, a)
@@ -71,9 +70,10 @@ _SINGULAR_TYPES = {RealFiberType.FIGURE_EIGHT, RealFiberType.CIRCLE_POINT,
 
 
 def _exact(rows) -> Matrix:
-    """Entries as Fraction() reads them, kept as int where integral."""
-    return tuple(tuple(f.numerator if f.denominator == 1 else f for f in map(Fraction, row))
-                 for row in rows)
+    """Exact rational entries, an integral Fraction held as int."""
+    rows = mo.freeze(rows)
+    mo.check_rationals("matrix entries", *rows)
+    return tuple(tuple(x.numerator if x.denominator == 1 else x for x in row) for row in rows)
 
 
 class SymplecticSpace(Record):
@@ -100,8 +100,7 @@ class SymplecticSpace(Record):
     @classmethod
     def standard(cls, dim: int) -> "SymplecticSpace":
         """Form [[0, I], [-I, 0]] in dimension dim."""
-        if dim % 2 != 0 or dim <= 0:
-            raise DimensionMismatch("standard symplectic space needs even positive dimension")
+        mo.check_integers("dim", (dim,))
         k = dim // 2
         rows = []
         for i in range(k):

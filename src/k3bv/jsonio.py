@@ -28,15 +28,10 @@ __all__ = [
 
 
 def rational_to_str(x) -> str:
-    f = Fraction(x)
-    if f.denominator == 1:
-        return str(f.numerator)
-    return f"{f.numerator}/{f.denominator}"
+    return str(x)
 
 
 def rational_from_str(s) -> Fraction:
-    if isinstance(s, int):
-        return Fraction(s)
     try:
         return Fraction(str(s))
     except (ValueError, ZeroDivisionError):
@@ -46,10 +41,8 @@ def rational_from_str(s) -> Fraction:
 def int_from_json(x) -> int:
     """An int, or a rational (or "p/q" string) that is integral; floats,
     bools and non-integral values raise K3BVError."""
-    if isinstance(x, bool) or not isinstance(x, (int, Fraction, str)):
-        raise K3BVError(f"expected an integer, got {x}")
-    f = rational_from_str(x)
-    if f.denominator != 1:
+    f = rational_from_str(x) if isinstance(x, str) else x
+    if type(f) not in (int, Fraction) or f.denominator != 1:
         raise K3BVError(f"expected an integer, got {x}")
     return f.numerator
 

@@ -10,7 +10,6 @@ its coordinates read off pivot by pivot.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd
 
 from . import matrixops as mo
@@ -44,8 +43,7 @@ class IntegerLattice(Record):
         n = len(g)
         if any(len(row) != n for row in g):
             raise DimensionMismatch("Gram matrix must be square")
-        if any(not isinstance(x, int) for row in g for x in row):
-            raise DimensionMismatch("Gram entries must be integers")
+        mo.check_integers("Gram entries", *g)
         if mo.transpose(g) != g:
             raise DimensionMismatch("Gram matrix must be symmetric")
 
@@ -60,6 +58,7 @@ class IntegerLattice(Record):
         if len(v) != self.rank:
             raise DimensionMismatch(
                 f"vector of length {len(v)} in lattice of rank {self.rank}")
+        mo.check_rationals("vector entries", v)
         return tuple(v)
 
 
@@ -75,8 +74,7 @@ class Sublattice(Record):
         n = self.ambient.rank
         if any(len(row) != n for row in b):
             raise DimensionMismatch("generator rows must have ambient rank length")
-        if any(not isinstance(x, int) for row in b for x in row):
-            raise DimensionMismatch("generator entries must be integers")
+        mo.check_integers("generator entries", *b)
         # The row HNF is the canonical key same_sublattice compares; its
         # last row is zero exactly when the rows are dependent. A basis
         # already in HNF is its own key.
@@ -184,12 +182,12 @@ def coordinates_in(s: Sublattice, v: Vector) -> Vector:
     """Integer coordinates of an ambient vector of S in the basis of S."""
     if len(v) != s.ambient.rank:
         raise DimensionMismatch("vector length does not match ambient rank")
-    if any(not isinstance(x, (int, Fraction)) for x in v):
-        raise DimensionMismatch("vector entries must be integers or fractions")
-    if s._hnf is s.basis and all(isinstance(x, int) for x in v):
+    mo.check_rationals("vector entries", v)
+    r, d = mo.clear_denominators(v)
+    if s._hnf is s.basis and d == 1:
         # Pivot by pivot on an HNF basis: x_i = r[c_i] // p_i, r -= x_i b_i. A
         # remainder stays in r, so r = 0 proves membership; else solve below.
-        r, xs = list(v), []
+        r, xs = list(r), []
         for row in s.basis:
             c = next(j for j, y in enumerate(row) if y)
             xs.append(r[c] // row[c])

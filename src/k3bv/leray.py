@@ -9,11 +9,11 @@ The tensor period lives in the factored basis
 
 from __future__ import annotations
 
-from fractions import Fraction
-
+from . import matrixops as mo
 from .cnum import QC
 from .domains import TubePoint, in_tube
 from .errors import K3BVError
+from .mirrormap import elliptic_phi
 from .record import Record
 
 __all__ = ["SpectralTable", "Filtration", "TensorPeriod", "k3_table",
@@ -91,6 +91,7 @@ def swap_rows(t: SpectralTable) -> SpectralTable:
 
 def bv_table(r: int) -> SpectralTable:
     """E2 table of the three-torus fibration on Y = S x A / involution."""
+    mo.check_integers("rank of M", (r,))
     if not 1 <= r <= 19:
         raise K3BVError(f"rank of M must be in 1..19, got {r}")
     return SpectralTable((
@@ -107,6 +108,7 @@ def bv_table(r: int) -> SpectralTable:
 
 def y_betti(r: int) -> tuple[int, ...]:
     """Betti numbers of Y from the invariant part of the Kunneth formula."""
+    mo.check_integers("rank of M", (r,))
     if not 1 <= r <= 19:
         raise K3BVError(f"rank of M must be in 1..19, got {r}")
     return (1, 0, r + 1, 2 * (22 - r), r + 1, 0, 1)
@@ -156,10 +158,7 @@ def bv_mirror_period(p1: TubePoint, p2: tuple) -> TensorPeriod:
     """
     if not in_tube(p1):
         raise K3BVError("p1 is not in the tube domain")
-    b2, w2 = Fraction(p2[0]), Fraction(p2[1])
-    if w2 <= 0:
-        raise K3BVError("the elliptic Kahler parameter omega2 must be positive")
-    tau = QC(b2, w2)
+    tau = elliptic_phi(p2[0], p2[1]).tau
     w_sq = p1.omega_sq()
     b_sq = p1.b_sq()
     # Complex coefficients of Omega_S in the basis {E, E', m_0, ...}.

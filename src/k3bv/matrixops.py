@@ -1,21 +1,23 @@
 """Exact matrix arithmetic over Z and Q.
 
 Matrices are tuples of tuples (rows); vectors are tuples. Entries are
-Python ints or fractions.Fraction. One row Hermite normal form routine
-is the elimination kernel: ranks, solutions and inverses are read off
-the form of the denominator-cleared rows of [a | rhs] by one integer
-back-substitution, a Fraction is built only for a result, and integer
-kernels, saturation and the Smith normal form come from it too, with
-canonical kernel and saturation bases in that form. Lattice equality
-compares Hermite normal forms; one scan recognises a matrix already in
-that form. A determinant eliminates forward only. Ranks in this package
-never exceed 22. The product a b skips the zero entries of each row of a
-that is at least half zero.
+exact: an int that is not a bool, or a fractions.Fraction; check_integers
+and check_rationals refuse anything else, even 2.0. One row Hermite
+normal form routine is the elimination kernel: ranks, solutions and
+inverses are read off the form of the denominator-cleared rows of
+[a | rhs] by one integer back-substitution, a Fraction is built only for
+a result, and integer kernels, saturation and the Smith normal form come
+from it too, with canonical kernel and saturation bases in that form.
+Lattice equality compares Hermite normal forms; one scan recognises a
+matrix already in that form. A determinant eliminates forward only.
+Ranks in this package never exceed 22. The product a b skips the zero
+entries of each row of a that is at least half zero.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 from math import gcd, lcm, prod
 from operator import mul
 
@@ -24,6 +26,18 @@ from .record import Record
 
 Matrix = tuple[tuple, ...]
 Vector = tuple
+
+
+def check_integers(what: str, *rows) -> None:
+    """Raise unless type(x) is int for every entry x of the rows."""
+    if not {int}.issuperset(map(type, chain.from_iterable(rows))):
+        raise DimensionMismatch(f"{what} must be integers")
+
+
+def check_rationals(what: str, *rows) -> None:
+    """Raise unless type(x) is int or Fraction for every entry x of the rows."""
+    if not {int, Fraction}.issuperset(map(type, chain.from_iterable(rows))):
+        raise DimensionMismatch(f"{what} must be integers or fractions")
 
 
 def freeze(rows) -> Matrix:
@@ -102,8 +116,7 @@ def bareiss_det(a: Matrix) -> int:
     n = len(a)
     if any(len(row) != n for row in a):
         raise DimensionMismatch("determinant of a non-square matrix")
-    if any(not isinstance(x, int) for row in a for x in row):
-        raise DimensionMismatch("determinant entries must be integers")
+    check_integers("determinant entries", *a)
     rows, sign, prev = list(a), 1, 1
     while rows:
         k = next((i for i, row in enumerate(rows) if row[0]), None)
@@ -314,4 +327,4 @@ def smith_normal_form(a: Matrix) -> SmithDecomposition:
 
 
 def content(v: Vector) -> int:
-    return gcd(*map(int, v))
+    return gcd(*v)

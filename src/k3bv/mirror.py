@@ -76,10 +76,13 @@ def check_admissible(t: Sublattice, e: Vector, e_prime: Vector, m: int) -> Admis
     The no-small-pairing condition is decided as divisibility(E) >= m;
     E.E' = m then forces divisibility exactly m.
     """
+    mo.check_integers("m", (m,))
     if m < 1:
         raise AdmissibilityError(f"m must be a positive integer, got {m}")
     lat = t.induced_lattice()
-    e, e_prime = lat.check_vector(e), lat.check_vector(e_prime)
+    (e, d), (e_prime, d_prime) = (mo.clear_denominators(lat.check_vector(v)) for v in (e, e_prime))
+    if d * d_prime != 1:
+        raise NotInLattice("E and E' must be integer vectors of T")
     ge, gep = mo.mat_vec(lat.gram, e), mo.mat_vec(lat.gram, e_prime)
     ee = mo.dot(e, ge)
     if ee != 0:
@@ -90,8 +93,6 @@ def check_admissible(t: Sublattice, e: Vector, e_prime: Vector, m: int) -> Admis
     eep = mo.dot(e, gep)
     if eep != m:
         raise AdmissibilityError(f"E.E' = {eep}, expected m = {m}")
-    if any(not isinstance(x, int) for x in e + e_prime):
-        raise NotInLattice("E and E' must be integer vectors of T")
     if mo.content(e) != 1:
         raise AdmissibilityError("E is not primitive in T")
     if mo.content(e_prime) != 1:

@@ -101,8 +101,4 @@ def phi_inverse(split: MirrorSplit, om: PeriodVector) -> TubePoint:
 
 def elliptic_phi(b, omega) -> EllipticPeriod:
     """Elliptic-curve mirror map: (B, omega) -> s_x + (B + i*omega) s_y."""
-    b = Fraction(b)
-    omega = Fraction(omega)
-    if omega <= 0:
-        raise K3BVError(f"omega must be positive, got {omega}")
     return EllipticPeriod(Fraction(1), QC(b, omega))

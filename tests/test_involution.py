@@ -7,7 +7,7 @@ from itertools import permutations, product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from k3bv import (K3BVError, LatticeInvolution, RealFiberType, Sublattice,
+from k3bv import (DimensionMismatch, K3BVError, LatticeInvolution, RealFiberType, Sublattice,
                   SymplecticSpace, coordinates_in, direct_sum, hyperbolic_plane,
                   invariant_sublattices, k3_lattice, mirror_involution,
                   orthogonal_complement, real_fiber_dual, same_sublattice,
@@ -182,6 +182,14 @@ class TestTransposeDefect:
     def test_form_must_be_nondegenerate(self):
         with pytest.raises(K3BVError):
             SymplecticSpace(((0, 0), (0, 0)))
+
+    def test_standard_needs_even_positive_integer_dimension(self):
+        for dim in (3, 1, 0, -2):
+            with pytest.raises(DimensionMismatch, match="^symplectic form must be square"):
+                SymplecticSpace.standard(dim)
+        for dim in (2.0, True, "2", None):
+            with pytest.raises(DimensionMismatch, match="^dim must be integers$"):
+                SymplecticSpace.standard(dim)
 
 
 class TestRealFiberDual:

@@ -339,16 +339,22 @@ class TestFractionEntryPaths:
         assert transpose_defect(v, v, phi) == ((0, 0), (0, 0))
 
     def test_float_form_entries_read_exactly(self):
-        half = Fraction(1, 2)
-        assert SymplecticSpace(((0, 0.5), (-0.5, 0))) == SymplecticSpace(((0, half), (-half, 0)))
-        form = SymplecticSpace(((0, 1.0), (-1.0, 0))).form
+        # A float is not an exact rational, even when it is integral or a
+        # dyadic fraction that binary reads without rounding.
+        message = "^matrix entries must be integers or fractions$"
+        for form in (((0, 0.5), (-0.5, 0)), ((0, 1.0), (-1.0, 0))):
+            with pytest.raises(DimensionMismatch, match=message):
+                SymplecticSpace(form)
+        form = SymplecticSpace(((0, Fraction(1)), (Fraction(-1), 0))).form
         assert form == ((0, 1), (-1, 0)) and all(type(x) is int for row in form for x in row)
 
     def test_transpose_defect_with_float_entry(self):
-        # det(phi) = -1, so phi is anti-symplectic for the standard form.
-        phi = ((1, 0), (0.5, -1))
-        assert transpose_defect(SymplecticSpace.standard(2), SymplecticSpace.standard(2),
-                                phi) == ((0, 0), (0, 0))
+        # det(phi) = -1, so phi is anti-symplectic for the standard form;
+        # with 1/2 as a float it is refused before any arithmetic.
+        v = SymplecticSpace.standard(2)
+        message = "^matrix entries must be integers or fractions$"
+        with pytest.raises(DimensionMismatch, match=message):
+            transpose_defect(v, v, ((1, 0), (0.5, -1)))
 
 
 # --- Hermite-form equality ---------------------------------------------------
