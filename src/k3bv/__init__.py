@@ -7,7 +7,7 @@ no floating point anywhere in the library.
 
 from .bv import (BVData, HodgePair, SelfMirrorLocus, euler_characteristic,
                  hodge_numbers, mirror_swap)
-from .catalog import e8_minus, hyperbolic_plane, k3_lattice, lattice_by_name
+from .catalog import e8_minus, hyperbolic_plane, k3_lattice
 from .census import (BasePoint, FiberCensus, FiberRecord, KodairaType,
                      base_embed, census_slack, dualize_census,
                      fiber_contribution, total_euler, validate_census)
@@ -22,6 +22,7 @@ from .hyperkahler import (RotationRow, RotationTable, UnitPhase, phase_rotate,
 from .involution import (LatticeInvolution, RealFiberType, SymplecticSpace,
                          invariant_sublattices, mirror_involution,
                          real_fiber_dual, reflection_through, transpose_defect)
+from .jsonio import lattice_by_name
 from .lattice import (IntegerLattice, Sublattice, coordinates_in, contains,
                       det_and_signature, direct_sum, divisibility,
                       is_primitive, is_saturated, orthogonal_complement,

@@ -1,4 +1,4 @@
-"""Constructors for the named lattices: U(m), E8(-1) and the K3 lattice.
+"""Constructors for U(m), E8(-1) and the K3 lattice; jsonio reads their names.
 
 Basis indexing of the K3 lattice is fixed once and for all as
 U, U, U, E8(-1), E8(-1) with coordinates 0..21; every worked example in
@@ -11,7 +11,7 @@ from . import matrixops as mo
 from .errors import K3BVError
 from .lattice import IntegerLattice, direct_sum
 
-__all__ = ["hyperbolic_plane", "e8_minus", "k3_lattice", "lattice_by_name"]
+__all__ = ["hyperbolic_plane", "e8_minus", "k3_lattice"]
 
 # Nodes of the E8 Dynkin diagram: 0-1-2-3-4-5-6 chain with 7 attached to 4.
 _E8_EDGES = ((0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (4, 7))
@@ -40,21 +40,3 @@ def k3_lattice() -> IntegerLattice:
     u = hyperbolic_plane(1)
     e8 = e8_minus()
     return direct_sum(direct_sum(direct_sum(direct_sum(u, u), u), e8), e8)
-
-
-def lattice_by_name(name: str) -> IntegerLattice:
-    """Resolve a catalog name: "K3", "E8-", or "U:m" (U alone means U:1)."""
-    tag = name.strip()
-    if tag == "K3":
-        return k3_lattice()
-    if tag == "E8-":
-        return e8_minus()
-    if tag == "U":
-        return hyperbolic_plane(1)
-    if tag.startswith("U:"):
-        try:
-            m = int(tag[2:])
-        except ValueError:
-            raise K3BVError(f"bad hyperbolic-plane scale in {name!r}") from None
-        return hyperbolic_plane(m)
-    raise K3BVError(f"unknown catalog lattice {name!r}")

@@ -18,10 +18,11 @@ from .errors import K3BVError
 from .hyperkahler import rotation_table
 from .jsonio import (census_from_json, census_to_json, dumps, int_from_json,
                      lattice_from_json, load_json_arg, parse_coords,
-                     rational_to_str, sublattice_from_json, sublattice_to_json)
+                     rational_to_str, split_from_json, split_to_json,
+                     sublattice_from_json)
 from .lattice import Sublattice, det_and_signature
 from .leray import bv_mirror_period, bv_table
-from .mirror import MirrorSplit, check_admissible, construct_mirror
+from .mirror import check_admissible, construct_mirror
 from .mirrormap import phi, phi_inverse
 
 __all__ = ["main", "run"]
@@ -29,33 +30,6 @@ __all__ = ["main", "run"]
 
 def _rat_vec(v) -> list:
     return [rational_to_str(x) for x in v]
-
-
-def _split_to_json(split: MirrorSplit) -> dict:
-    return {
-        "t": sublattice_to_json(split.t),
-        "e": list(split.pair.e),
-        "eprime": list(split.pair.e_prime),
-        "m": split.m,
-        "p_basis": [list(r) for r in split.p.basis],
-        "mcheck_basis": [list(r) for r in split.m_check.basis],
-        "mcheck_gram": [list(r) for r in split.m_check.gram()],
-        "section_class": list(split.section_class),
-    }
-
-
-def _split_from_json(obj) -> MirrorSplit:
-    """Rebuild a split by re-running the certified construction."""
-    if not isinstance(obj, dict):
-        raise K3BVError("split JSON must be an object")
-    try:
-        t = sublattice_from_json(obj["t"])
-        e = tuple(int_from_json(x) for x in obj["e"])
-        ep = tuple(int_from_json(x) for x in obj["eprime"])
-        m = int_from_json(obj["m"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise K3BVError(f"bad split JSON: {exc}") from None
-    return construct_mirror(check_admissible(t, e, ep, m))
 
 
 def _cmd_lattice_info(args) -> dict:
@@ -69,11 +43,11 @@ def _cmd_mirror_construct(args) -> dict:
     t = sublattice_from_json(load_json_arg(args.lattice))
     pair = check_admissible(t, tuple(map(int_from_json, parse_coords(args.e))),
                             tuple(map(int_from_json, parse_coords(args.eprime))), args.m)
-    return _split_to_json(construct_mirror(pair))
+    return split_to_json(construct_mirror(pair))
 
 
 def _cmd_mirror_phi(args) -> dict:
-    split = _split_from_json(load_json_arg(args.split))
+    split = split_from_json(load_json_arg(args.split))
     p = TubePoint(split.m_check, parse_coords(args.b), parse_coords(args.omega))
     om = phi(split, p)
     real, imag = om.omega_dot_omega()
@@ -91,7 +65,7 @@ def _cmd_mirror_phi(args) -> dict:
 
 
 def _cmd_mirror_phi_inverse(args) -> dict:
-    split = _split_from_json(load_json_arg(args.split))
+    split = split_from_json(load_json_arg(args.split))
     om = PeriodVector(split.t, parse_coords(args.re), parse_coords(args.im))
     p = phi_inverse(split, om)
     return {"b": _rat_vec(p.b), "omega": _rat_vec(p.omega)}
@@ -218,7 +192,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lattice", required=True, help="sublattice or lattice JSON for T")
     p.add_argument("--e", required=True, help="coordinates of E, comma separated")
     p.add_argument("--eprime", required=True, help="coordinates of E'")
-    p.add_argument("--m", type=int, required=True)
+    p.add_argument("--m", type=int_from_json, required=True)
     p = add(mirror, "phi", _cmd_mirror_phi)
     p.add_argument("--split", required=True, help="MirrorSplit JSON (as printed by construct)")
     p.add_argument("--b", required=True)
@@ -237,8 +211,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     bv = sub.add_parser("bv").add_subparsers(dest="verb", required=True)
     p = add(bv, "hodge", _cmd_bv_hodge)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--nprime", type=int, required=True)
+    p.add_argument("--n", type=int_from_json, required=True)
+    p.add_argument("--nprime", type=int_from_json, required=True)
 
     census = sub.add_parser("census").add_subparsers(dest="verb", required=True)
     p = add(census, "check", _cmd_census_check)
@@ -248,7 +222,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     leray = sub.add_parser("leray").add_subparsers(dest="verb", required=True)
     p = add(leray, "bv", _cmd_leray_bv, table_renderer=_leray_bv_table_text)
-    p.add_argument("--rank", type=int, required=True)
+    p.add_argument("--rank", type=int_from_json, required=True)
     p = add(leray, "bv-period", _cmd_leray_bv_period)
     p.add_argument("--m", default="U", help="Gram of M (JSON or catalog name)")
     p.add_argument("--b1", required=True, help="B over M, comma separated rationals")

@@ -20,12 +20,6 @@ class QC(Record):
         object.__setattr__(self, "re", Fraction(self.re))
         object.__setattr__(self, "im", Fraction(self.im))
 
-    def __add__(self, other: "QC") -> "QC":
-        return QC(self.re + other.re, self.im + other.im)
-
-    def __sub__(self, other: "QC") -> "QC":
-        return QC(self.re - other.re, self.im - other.im)
-
     def __mul__(self, other: "QC") -> "QC":
         return QC(self.re * other.re - self.im * other.im,
                   self.re * other.im + self.im * other.re)
@@ -37,11 +31,5 @@ class QC(Record):
         return QC((self.re * other.re + self.im * other.im) / n,
                   (self.im * other.re - self.re * other.im) / n)
 
-    def __neg__(self) -> "QC":
-        return QC(-self.re, -self.im)
-
     def is_zero(self) -> bool:
         return self.re == 0 and self.im == 0
-
-    def conjugate(self) -> "QC":
-        return QC(self.re, -self.im)

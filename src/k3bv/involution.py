@@ -51,9 +51,6 @@ class LatticeInvolution(Record):
     def apply(self, v: Vector) -> Vector:
         return mo.mat_vec(self.matrix, v)
 
-    def compose(self, other: "LatticeInvolution") -> Matrix:
-        return mo.mat_mul(self.matrix, other.matrix)
-
 
 class RealFiberType(Enum):
     """Real locus of a fiber under an anti-holomorphic involution."""

@@ -1,30 +1,38 @@
-"""JSON schemas and canonical rendering.
+"""JSON schemas, catalog names and canonical rendering: the one module
+that turns text into exact values.
 
 Rationals travel as strings "p/q" in lowest terms with q > 0 (or "p"
-when integral); integer arrays are row-major. Catalog names ("K3",
-"E8-", "U:m") are accepted anywhere a lattice object is.
+when integral); integer arrays are row-major. Number text is read by
+`rational_from_str` alone, which takes only "p" or "p/q": ASCII digits,
+an optional leading "-" and q not zero. Catalog names ("K3", "E8-",
+"U", "U:m") are accepted anywhere a lattice object is.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import re
 from fractions import Fraction
 
 from .bv import BVData
-from .catalog import lattice_by_name
+from .catalog import e8_minus, hyperbolic_plane, k3_lattice
 from .census import FiberCensus, FiberRecord, KodairaType
 from .errors import K3BVError
 from .involution import LatticeInvolution, RealFiberType
 from .lattice import IntegerLattice, Sublattice
+from .mirror import MirrorSplit, check_admissible, construct_mirror
 
 __all__ = [
     "rational_to_str", "rational_from_str", "int_from_json", "parse_coords",
-    "lattice_to_json", "lattice_from_json",
+    "lattice_by_name", "lattice_to_json", "lattice_from_json",
     "sublattice_to_json", "sublattice_from_json",
+    "split_to_json", "split_from_json",
     "involution_from_json", "census_to_json", "census_from_json",
     "load_json_arg", "dumps",
 ]
+
+_RATIONAL = re.compile(r"-?[0-9]+(/0*[1-9][0-9]*)?")
 
 
 def rational_to_str(x) -> str:
@@ -32,10 +40,10 @@ def rational_to_str(x) -> str:
 
 
 def rational_from_str(s) -> Fraction:
-    try:
-        return Fraction(str(s))
-    except (ValueError, ZeroDivisionError):
-        raise K3BVError(f"cannot parse rational {s!r}") from None
+    """Read "p" or "p/q": ASCII digits, an optional leading "-", q not zero."""
+    if not (isinstance(s, str) and _RATIONAL.fullmatch(s)):
+        raise K3BVError(f"cannot parse rational {s!r}")
+    return Fraction(s)
 
 
 def int_from_json(x) -> int:
@@ -58,6 +66,24 @@ def parse_coords(s: str) -> tuple[Fraction, ...]:
     """Comma-separated rationals, e.g. "1,0,3/2,-1"."""
     parts = [p.strip() for p in s.split(",")] if s.strip() else []
     return tuple(rational_from_str(p) for p in parts)
+
+
+def lattice_by_name(name: str) -> IntegerLattice:
+    """Resolve a catalog name: "K3", "E8-", or "U:m" (U alone means U:1)."""
+    tag = name.strip()
+    if tag == "K3":
+        return k3_lattice()
+    if tag == "E8-":
+        return e8_minus()
+    if tag == "U":
+        return hyperbolic_plane(1)
+    if tag.startswith("U:"):
+        try:
+            m = int_from_json(tag[2:])
+        except K3BVError:
+            raise K3BVError(f"bad hyperbolic-plane scale in {name!r}") from None
+        return hyperbolic_plane(m)
+    raise K3BVError(f"unknown catalog lattice {name!r}")
 
 
 def lattice_to_json(lat: IntegerLattice) -> dict:
@@ -86,6 +112,33 @@ def sublattice_from_json(obj) -> Sublattice:
         return Sublattice.full(lat)
     lat = lattice_from_json(obj.get("ambient"))
     return Sublattice(lat, _int_matrix(obj["basis"]))
+
+
+def split_to_json(split: MirrorSplit) -> dict:
+    return {
+        "t": sublattice_to_json(split.t),
+        "e": list(split.pair.e),
+        "eprime": list(split.pair.e_prime),
+        "m": split.m,
+        "p_basis": [list(r) for r in split.p.basis],
+        "mcheck_basis": [list(r) for r in split.m_check.basis],
+        "mcheck_gram": [list(r) for r in split.m_check.gram()],
+        "section_class": list(split.section_class),
+    }
+
+
+def split_from_json(obj) -> MirrorSplit:
+    """Rebuild a split by re-running the certified construction."""
+    if not isinstance(obj, dict):
+        raise K3BVError("split JSON must be an object")
+    try:
+        t = sublattice_from_json(obj["t"])
+        e = tuple(int_from_json(x) for x in obj["e"])
+        ep = tuple(int_from_json(x) for x in obj["eprime"])
+        m = int_from_json(obj["m"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise K3BVError(f"bad split JSON: {exc}") from None
+    return construct_mirror(check_admissible(t, e, ep, m))
 
 
 def involution_from_json(obj) -> LatticeInvolution:

@@ -27,6 +27,10 @@ class SpectralTable(Record):
 
     entries: tuple[tuple[tuple[int, int], tuple[int, str]], ...]
 
+    def __post_init__(self):
+        mo.check_integers("table positions and dimensions",
+                          *((p, q, dim) for (p, q), (dim, _) in self.entries))
+
     def as_dict(self) -> dict[tuple[int, int], tuple[int, str]]:
         return dict(self.entries)
 
@@ -51,6 +55,7 @@ class Filtration(Record):
 
     def __post_init__(self):
         object.__setattr__(self, "dims", tuple(self.dims))
+        mo.check_integers("filtration dimensions", self.dims)
         if any(b < a for a, b in zip(self.dims, self.dims[1:])):
             raise K3BVError("filtration dimensions must be non-decreasing")
 
@@ -123,6 +128,7 @@ def check_degeneration(t: SpectralTable, betti) -> bool:
 
 def filtration_dims(t: SpectralTable, n: int) -> Filtration:
     """Filtration of total degree n: d_i = sum of E2^{n-j,j} for j <= i."""
+    mo.check_integers("total degree", (n,))
     running = 0
     dims = []
     for i in range(n + 1):

@@ -28,16 +28,11 @@ __all__ = ["EllipticPeriod", "phi", "phi_inverse", "elliptic_phi"]
 class EllipticPeriod(Record):
     """Normalized elliptic period s_x + tau * s_y with tau = B + i*omega."""
 
-    sx_coeff: Fraction
-    sy_coeff: QC
+    tau: QC
 
     def __post_init__(self):
-        if self.sy_coeff.im <= 0:
+        if self.tau.im <= 0:
             raise K3BVError("tau must lie in the upper half plane")
-
-    @property
-    def tau(self) -> QC:
-        return self.sy_coeff
 
 
 def phi(split: MirrorSplit, p: TubePoint) -> PeriodVector:
@@ -101,4 +96,4 @@ def phi_inverse(split: MirrorSplit, om: PeriodVector) -> TubePoint:
 
 def elliptic_phi(b, omega) -> EllipticPeriod:
     """Elliptic-curve mirror map: (B, omega) -> s_x + (B + i*omega) s_y."""
-    return EllipticPeriod(Fraction(1), QC(b, omega))
+    return EllipticPeriod(QC(b, omega))

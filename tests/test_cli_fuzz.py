@@ -68,7 +68,8 @@ UUU = {"gram": [[0, 1, 0, 0, 0, 0], [1, 0, 0, 0, 0, 0], [0, 0, 0, 1, 0, 0],
                [0, 0, 1, 0, 0, 0], [0, 0, 0, 0, 0, 1], [0, 0, 0, 0, 1, 0]]}
 entry = st.one_of(st.integers(-3, 3).map(str),
                   st.fractions(-3, 3, max_denominator=4).map(str),
-                  st.sampled_from(["", " ", "1.5", "nan", "x", "1/0", "True"]),
+                  st.sampled_from(["", " ", "1.5", "nan", "x", "1/0", "True",
+                                   "1_0", "1e3", "٣"]),
                   st.text(max_size=3))
 
 

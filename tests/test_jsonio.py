@@ -33,6 +33,8 @@ class TestRationals:
             rational_from_str("one half")
         with pytest.raises(K3BVError):
             rational_from_str("1/0")
+        with pytest.raises(K3BVError):
+            rational_from_str(0.1)
 
     def test_parse_coords(self):
         assert parse_coords("1,0,3/2,-1") == (1, 0, Fraction(3, 2), -1)

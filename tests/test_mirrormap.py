@@ -87,7 +87,6 @@ class TestPhiInverse:
 class TestEllipticPhi:
     def test_unit_tau(self):
         per = elliptic_phi(0, 1)
-        assert per.sx_coeff == 1
         assert per.tau == QC(0, 1)
 
     def test_general_tau(self):
