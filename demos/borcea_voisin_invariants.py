@@ -9,7 +9,7 @@ split into fixed and non-fixed ones.
 
 from k3bv import (BVData, FiberCensus, FiberRecord, KodairaType,
                   RealFiberType, dualize_census, euler_characteristic,
-                  hodge_numbers, mirror_swap, total_euler, validate_census)
+                  hodge_numbers, mirror_swap, total_euler)
 
 print("Hodge numbers h11 / h21 on a small (N, N') grid:")
 for n in range(1, 6):
@@ -38,7 +38,6 @@ records = (
     + [FiberRecord(I1, False)] * 14
 )
 census = FiberCensus(tuple(records), d)
-validate_census(census)
 print(f"\ncensus: {census.count(fixed=True)} fixed + "
       f"{census.count(fixed=False)} non-fixed fibers")
 print(f"total from contributions: {total_euler(census)} "

@@ -10,7 +10,7 @@ from .bv import (BVData, HodgePair, SelfMirrorLocus, euler_characteristic,
 from .catalog import e8_minus, hyperbolic_plane, k3_lattice
 from .census import (BasePoint, FiberCensus, FiberRecord, KodairaType,
                      base_embed, census_slack, dualize_census,
-                     fiber_contribution, total_euler, validate_census)
+                     fiber_contribution, total_euler)
 from .cnum import QC
 from .domains import (PeriodVector, TubePoint, in_delta, in_period_domain,
                       in_primed, in_tube)

@@ -17,9 +17,8 @@ from .errors import CensusError, K3BVError
 from .involution import RealFiberType, real_fiber_dual
 from .record import Record
 
-__all__ = ["KodairaType", "FiberRecord", "FiberCensus", "BasePoint",
-           "validate_census", "census_slack", "fiber_contribution",
-           "total_euler", "dualize_census", "base_embed"]
+__all__ = ["KodairaType", "FiberRecord", "FiberCensus", "BasePoint", "census_slack",
+           "fiber_contribution", "total_euler", "dualize_census", "base_embed"]
 
 
 class KodairaType(Enum):
@@ -54,15 +53,39 @@ _CP = (KodairaType.I1, True, RealFiberType.CIRCLE_POINT)
 
 class FiberCensus(Record):
     """Fiber records and (N, N'), with a tally of the records by kind
-    (kodaira, fixed, real_type): at most five kinds, built once."""
+    (kodaira, fixed, real_type): at most five kinds, built once. Building
+    checks every invariant: #I1 + 2*#II = 24; 2(N-1)+k fixed circle-point
+    and 2(N'-1)+k fixed figure-eight fibers for one common k >= 0;
+    non-fixed records in conjugate pairs (even count)."""
 
     records: tuple[FiberRecord, ...]
     bv: BVData
 
     def __post_init__(self):
         object.__setattr__(self, "records", tuple(self.records))
-        object.__setattr__(self, "_tally", Counter(
-            (r.kodaira, r.fixed, r.real_type) for r in self.records))
+        t = Counter((r.kodaira, r.fixed, r.real_type) for r in self.records)
+        object.__setattr__(self, "_tally", t)
+        i1, ii = KodairaType.I1, KodairaType.II
+        cp, f8 = t[_CP], t[i1, True, RealFiberType.FIGURE_EIGHT]
+        free_i1, free_ii = t[i1, False, None], t[ii, False, None]
+        euler = cp + f8 + free_i1 + 2 * (t[ii, True, RealFiberType.SINGULAR_CIRCLE] + free_ii)
+        if euler != 24:
+            raise CensusError(f"Euler count violated: #I1 + 2#II = {euler} != 24")
+        k_cp = cp - 2 * (self.bv.n - 1)
+        k_f8 = f8 - 2 * (self.bv.n_prime - 1)
+        if k_cp != k_f8:
+            raise CensusError(
+                f"extra fixed fibers unbalanced: circle-point slack {k_cp}, "
+                f"figure-eight slack {k_f8} (the two types must occur in equal numbers)")
+        if k_cp < 0:
+            raise CensusError(
+                f"too few fixed fibers: need at least 2(N-1) = {2 * (self.bv.n - 1)} "
+                f"circle-point and 2(N'-1) = {2 * (self.bv.n_prime - 1)} figure-eight fibers")
+        non_fixed = free_i1 + free_ii
+        if non_fixed % 2 != 0:
+            raise CensusError(
+                f"{non_fixed} non-fixed fibers: fibers over non-real base points "
+                "come in conjugate pairs")
 
     def count(self, **filters) -> int:
         """Number of records whose fields equal the given values."""
@@ -70,40 +93,8 @@ class FiberCensus(Record):
                    if all(dict(zip(_KIND, kind))[k] == v for k, v in filters.items()))
 
 
-def validate_census(c: FiberCensus) -> FiberCensus:
-    """Check every census invariant; the derived slack k is recomputed.
-
-    Invariants: #I1 + 2*#II = 24; fixed circle-point count 2(N-1)+k and
-    fixed figure-eight count 2(N'-1)+k for one common k >= 0; non-fixed
-    records come in conjugate pairs (even count).
-    """
-    t, i1, ii = c._tally, KodairaType.I1, KodairaType.II
-    cp, f8 = t[_CP], t[i1, True, RealFiberType.FIGURE_EIGHT]
-    free_i1, free_ii = t[i1, False, None], t[ii, False, None]
-    euler = cp + f8 + free_i1 + 2 * (t[ii, True, RealFiberType.SINGULAR_CIRCLE] + free_ii)
-    if euler != 24:
-        raise CensusError(f"Euler count violated: #I1 + 2#II = {euler} != 24")
-    k_cp = cp - 2 * (c.bv.n - 1)
-    k_f8 = f8 - 2 * (c.bv.n_prime - 1)
-    if k_cp != k_f8:
-        raise CensusError(
-            f"extra fixed fibers unbalanced: circle-point slack {k_cp}, "
-            f"figure-eight slack {k_f8} (the two types must occur in equal numbers)")
-    if k_cp < 0:
-        raise CensusError(
-            f"too few fixed fibers: need at least 2(N-1) = {2 * (c.bv.n - 1)} "
-            f"circle-point and 2(N'-1) = {2 * (c.bv.n_prime - 1)} figure-eight fibers")
-    non_fixed = free_i1 + free_ii
-    if non_fixed % 2 != 0:
-        raise CensusError(
-            f"{non_fixed} non-fixed fibers: fibers over non-real base points "
-            "come in conjugate pairs")
-    return c
-
-
 def census_slack(c: FiberCensus) -> int:
-    """The common k with circle-point count 2(N-1)+k; census must be valid."""
-    validate_census(c)
+    """The common k with circle-point count 2(N-1)+k."""
     return c._tally[_CP] - 2 * (c.bv.n - 1)
 
 
@@ -116,7 +107,6 @@ def fiber_contribution(r: FiberRecord) -> int:
 
 def total_euler(c: FiberCensus) -> int:
     """Sum of contributions; certified against 12(N - N')."""
-    validate_census(c)
     total = sum(fiber_contribution(r) for r in c.records)
     expected = 12 * (c.bv.n - c.bv.n_prime)
     if total != expected:
@@ -127,12 +117,11 @@ def total_euler(c: FiberCensus) -> int:
 
 def dualize_census(c: FiberCensus) -> FiberCensus:
     """Swap figure eights with circles plus points and (N, N')."""
-    validate_census(c)
     dual = {t: FiberRecord(KodairaType.I1, True, real_fiber_dual(t))
             for t in (RealFiberType.FIGURE_EIGHT, RealFiberType.CIRCLE_POINT)}
     new_records = tuple(dual[r.real_type] if r.fixed and r.kodaira is KodairaType.I1 else r
                         for r in c.records)
-    return validate_census(FiberCensus(new_records, mirror_swap(c.bv)))
+    return FiberCensus(new_records, mirror_swap(c.bv))
 
 
 class BasePoint(Record):

@@ -1,9 +1,10 @@
 """Command-line front-end.
 
-Every subcommand prints canonical JSON and exits 0 on success, 1 on a
-domain error with a machine-readable error object, 2 on a usage error.
-`leray bv` and `verify all`, the verbs with a table renderer, also take
---output table.
+Every verb returns a payload, exact rationals included, and `run` alone
+prints it: as canonical JSON, or through the verb's table renderer under
+--output table (`leray bv` and `verify all` only). The exit code is 0 on
+success, 1 on a domain error, printed as a machine-readable error object,
+or a failed acceptance criterion, and 2 on a usage error.
 """
 
 from __future__ import annotations
@@ -12,24 +13,19 @@ import argparse
 import sys
 
 from .bv import BVData, euler_characteristic, hodge_numbers
-from .census import census_slack, dualize_census, total_euler, validate_census
+from .census import census_slack, dualize_census, total_euler
 from .domains import TubePoint, PeriodVector
 from .errors import K3BVError
 from .hyperkahler import rotation_table
 from .jsonio import (census_from_json, census_to_json, dumps, int_from_json,
                      lattice_from_json, load_json_arg, parse_coords,
-                     rational_to_str, split_from_json, split_to_json,
-                     sublattice_from_json)
+                     split_from_json, split_to_json, sublattice_from_json)
 from .lattice import Sublattice, det_and_signature
 from .leray import bv_mirror_period, bv_table
 from .mirror import check_admissible, construct_mirror
 from .mirrormap import phi, phi_inverse
 
 __all__ = ["main", "run"]
-
-
-def _rat_vec(v) -> list:
-    return [rational_to_str(x) for x in v]
 
 
 def _cmd_lattice_info(args) -> dict:
@@ -51,36 +47,27 @@ def _cmd_mirror_phi(args) -> dict:
     p = TubePoint(split.m_check, parse_coords(args.b), parse_coords(args.omega))
     om = phi(split, p)
     real, imag = om.omega_dot_omega()
-    return {
-        "re": _rat_vec(om.re),
-        "im": _rat_vec(om.im),
-        "report": {
-            "omega_dot_omega": [rational_to_str(real), rational_to_str(imag)],
-            "omega_dot_conjugate": rational_to_str(om.omega_dot_conjugate()),
-            "two_omega_sq": rational_to_str(2 * p.omega_sq()),
-            "quadrics_hold": real == 0 and imag == 0
-            and om.omega_dot_conjugate() == 2 * p.omega_sq(),
-        },
-    }
+    return {"re": om.re, "im": om.im, "report": {
+        "omega_dot_omega": [real, imag],
+        "omega_dot_conjugate": om.omega_dot_conjugate(),
+        "two_omega_sq": 2 * p.omega_sq(),
+        "quadrics_hold": real == 0 and imag == 0
+        and om.omega_dot_conjugate() == 2 * p.omega_sq()}}
 
 
 def _cmd_mirror_phi_inverse(args) -> dict:
     split = split_from_json(load_json_arg(args.split))
     om = PeriodVector(split.t, parse_coords(args.re), parse_coords(args.im))
     p = phi_inverse(split, om)
-    return {"b": _rat_vec(p.b), "omega": _rat_vec(p.omega)}
+    return {"b": p.b, "omega": p.omega}
 
 
 def _cmd_hk_table(args) -> dict:
     lat = lattice_from_json(load_json_arg(args.lattice))
     table = rotation_table(parse_coords(args.omega_re), parse_coords(args.omega_im),
                            parse_coords(args.kahler), lat)
-    out = {}
-    for name, row in (("I", table.i), ("J", table.j), ("K", table.k)):
-        out[name] = {"holo_re": _rat_vec(row.holo_re),
-                     "holo_im": _rat_vec(row.holo_im),
-                     "kahler": _rat_vec(row.kahler)}
-    return out
+    return {name: {"holo_re": row.holo_re, "holo_im": row.holo_im, "kahler": row.kahler}
+            for name, row in (("I", table.i), ("J", table.j), ("K", table.k))}
 
 
 def _cmd_bv_hodge(args) -> dict:
@@ -91,7 +78,6 @@ def _cmd_bv_hodge(args) -> dict:
 
 def _cmd_census_check(args) -> dict:
     c = census_from_json(load_json_arg(args.census))
-    validate_census(c)
     return {"valid": True, "euler": total_euler(c), "slack": census_slack(c)}
 
 
@@ -128,29 +114,33 @@ def _cmd_leray_bv_period(args) -> dict:
         raise K3BVError("--b2 and --omega2 take a single rational each")
     tp = bv_mirror_period(p1, (b2[0], w2[0]))
     return {"components": [
-        {"label": label, "factor": factor,
-         "re": rational_to_str(c.re), "im": rational_to_str(c.im)}
+        {"label": label, "factor": factor, "re": c.re, "im": c.im}
         for (label, factor), c in tp.components]}
 
 
-def _cmd_verify_all(args):
+def _cmd_verify_all(args) -> dict:
     # Imported here: only this command needs the acceptance criteria.
     from .verify import run_all
     results = run_all()
-    payload = {"results": [
+    return {"results": [
         {"criterion": r.number, "name": r.name,
          "passed": r.passed, "detail": r.detail} for r in results],
         "all_passed": all(r.passed for r in results)}
-    if args.output == "table":
-        width = max(len(r.name) for r in results)
-        lines = []
-        for r in results:
-            mark = "PASS" if r.passed else "FAIL"
-            lines.append(f"{r.number:2d}  {r.name:<{width}}  {mark}  {r.detail}")
-        print("\n".join(lines))
-    else:
-        print(dumps(payload))
-    return 0 if payload["all_passed"] else 1
+
+
+def _verify_table_text(payload) -> str:
+    results = payload["results"]
+    width = max(len(r["name"]) for r in results)
+    return "\n".join(f"{r['criterion']:2d}  {r['name']:<{width}}  "
+                     f"{'PASS' if r['passed'] else 'FAIL'}  {r['detail']}" for r in results)
+
+
+def _int_option(text: str) -> int:
+    """An integer option; argparse prints the message as the usage error."""
+    try:
+        return int_from_json(text)
+    except K3BVError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text}") from None
 
 
 class _Parser(argparse.ArgumentParser):
@@ -175,11 +165,11 @@ def _build_parser() -> argparse.ArgumentParser:
                      description="Exact K3 mirror symmetry and Borcea-Voisin invariants")
     sub = parser.add_subparsers(dest="group", required=True)
 
-    def add(group_parser, name, fn, table_renderer=None):
+    def add(group_parser, name, fn, table_renderer=None, _output="json"):
         p = group_parser.add_parser(name)
         p.set_defaults(fn=fn, table_renderer=table_renderer)
         if table_renderer is not None:
-            p.add_argument("--output", choices=("json", "table"), default="json")
+            p.add_argument("--output", choices=("json", "table"), default=_output)
         return p
 
     lattice = sub.add_parser("lattice").add_subparsers(dest="verb", required=True)
@@ -192,7 +182,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lattice", required=True, help="sublattice or lattice JSON for T")
     p.add_argument("--e", required=True, help="coordinates of E, comma separated")
     p.add_argument("--eprime", required=True, help="coordinates of E'")
-    p.add_argument("--m", type=int_from_json, required=True)
+    p.add_argument("--m", type=_int_option, required=True)
     p = add(mirror, "phi", _cmd_mirror_phi)
     p.add_argument("--split", required=True, help="MirrorSplit JSON (as printed by construct)")
     p.add_argument("--b", required=True)
@@ -211,8 +201,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     bv = sub.add_parser("bv").add_subparsers(dest="verb", required=True)
     p = add(bv, "hodge", _cmd_bv_hodge)
-    p.add_argument("--n", type=int_from_json, required=True)
-    p.add_argument("--nprime", type=int_from_json, required=True)
+    p.add_argument("--n", type=_int_option, required=True)
+    p.add_argument("--nprime", type=_int_option, required=True)
 
     census = sub.add_parser("census").add_subparsers(dest="verb", required=True)
     p = add(census, "check", _cmd_census_check)
@@ -222,7 +212,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     leray = sub.add_parser("leray").add_subparsers(dest="verb", required=True)
     p = add(leray, "bv", _cmd_leray_bv, table_renderer=_leray_bv_table_text)
-    p.add_argument("--rank", type=int_from_json, required=True)
+    p.add_argument("--rank", type=_int_option, required=True)
     p = add(leray, "bv-period", _cmd_leray_bv_period)
     p.add_argument("--m", default="U", help="Gram of M (JSON or catalog name)")
     p.add_argument("--b1", required=True, help="B over M, comma separated rationals")
@@ -231,9 +221,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--omega2", required=True, help="elliptic omega (one rational, > 0)")
 
     verify = sub.add_parser("verify").add_subparsers(dest="verb", required=True)
-    p = verify.add_parser("all")
-    p.set_defaults(fn=_cmd_verify_all, table_renderer=None, raw=True)
-    p.add_argument("--output", choices=("json", "table"), default="table")
+    add(verify, "all", _cmd_verify_all, _verify_table_text, _output="table")
 
     return parser
 
@@ -245,17 +233,13 @@ def run(argv: list[str]) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        if getattr(args, "raw", False):
-            return args.fn(args)
         payload = args.fn(args)
     except K3BVError as exc:
         print(dumps({"error": {"type": type(exc).__name__, "message": str(exc)}}))
         return 1
-    if args.table_renderer is not None and args.output == "table":
-        print(args.table_renderer(payload))
-    else:
-        print(dumps(payload))
-    return 0
+    table = args.table_renderer is not None and args.output == "table"
+    print(args.table_renderer(payload) if table else dumps(payload))
+    return 0 if payload.get("all_passed", True) else 1
 
 
 def main() -> None:

@@ -1,11 +1,12 @@
 """JSON schemas, catalog names and canonical rendering: the one module
-that turns text into exact values.
+that turns text into exact values and back.
 
 Rationals travel as strings "p/q" in lowest terms with q > 0 (or "p"
-when integral); integer arrays are row-major. Number text is read by
-`rational_from_str` alone, which takes only "p" or "p/q": ASCII digits,
-an optional leading "-" and q not zero. Catalog names ("K3", "E8-",
-"U", "U:m") are accepted anywhere a lattice object is.
+when integral), as `dumps` writes every Fraction; integer arrays are
+row-major. Number text is read by `rational_from_str` alone, which takes
+only "p" or "p/q": ASCII digits, an optional leading "-" and q not zero.
+Catalog names ("K3", "E8-", "U", "U:m") are accepted anywhere a lattice
+object is. A reader passes on a K3BVError unchanged.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from .lattice import IntegerLattice, Sublattice
 from .mirror import MirrorSplit, check_admissible, construct_mirror
 
 __all__ = [
-    "rational_to_str", "rational_from_str", "int_from_json", "parse_coords",
+    "rational_from_str", "int_from_json", "parse_coords",
     "lattice_by_name", "lattice_to_json", "lattice_from_json",
     "sublattice_to_json", "sublattice_from_json",
     "split_to_json", "split_from_json",
@@ -33,10 +34,6 @@ __all__ = [
 ]
 
 _RATIONAL = re.compile(r"-?[0-9]+(/0*[1-9][0-9]*)?")
-
-
-def rational_to_str(x) -> str:
-    return str(x)
 
 
 def rational_from_str(s) -> Fraction:
@@ -64,12 +61,16 @@ def _int_matrix(rows) -> tuple[tuple[int, ...], ...]:
 
 def parse_coords(s: str) -> tuple[Fraction, ...]:
     """Comma-separated rationals, e.g. "1,0,3/2,-1"."""
+    if not isinstance(s, str):
+        raise K3BVError(f"expected comma-separated rationals, got {s!r}")
     parts = [p.strip() for p in s.split(",")] if s.strip() else []
     return tuple(rational_from_str(p) for p in parts)
 
 
 def lattice_by_name(name: str) -> IntegerLattice:
     """Resolve a catalog name: "K3", "E8-", or "U:m" (U alone means U:1)."""
+    if not isinstance(name, str):
+        raise K3BVError(f"expected a catalog name, got {name!r}")
     tag = name.strip()
     if tag == "K3":
         return k3_lattice()
@@ -136,7 +137,7 @@ def split_from_json(obj) -> MirrorSplit:
         e = tuple(int_from_json(x) for x in obj["e"])
         ep = tuple(int_from_json(x) for x in obj["eprime"])
         m = int_from_json(obj["m"])
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError) as exc:
         raise K3BVError(f"bad split JSON: {exc}") from None
     return construct_mirror(check_admissible(t, e, ep, m))
 
@@ -172,6 +173,8 @@ def census_from_json(obj) -> FiberCensus:
                 rec["fixed"],
                 RealFiberType(real) if real is not None else None,
             ))
+    except K3BVError:
+        raise
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise K3BVError(f"bad census JSON: {exc}") from None
     return FiberCensus(tuple(records), bv)
@@ -192,6 +195,12 @@ def load_json_arg(value: str):
     return v
 
 
+def _fraction_text(x) -> str:
+    if isinstance(x, Fraction):
+        return str(x)
+    raise TypeError(f"{type(x).__name__} is not JSON serializable")
+
+
 def dumps(obj) -> str:
-    """Canonical, byte-stable rendering."""
-    return json.dumps(obj, sort_keys=True, separators=(", ", ": "))
+    """Canonical, byte-stable rendering; a Fraction becomes its "p/q" text."""
+    return json.dumps(obj, sort_keys=True, separators=(", ", ": "), default=_fraction_text)

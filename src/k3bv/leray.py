@@ -28,8 +28,11 @@ class SpectralTable(Record):
     entries: tuple[tuple[tuple[int, int], tuple[int, str]], ...]
 
     def __post_init__(self):
-        mo.check_integers("table positions and dimensions",
-                          *((p, q, dim) for (p, q), (dim, _) in self.entries))
+        try:
+            cells = [(p, q, dim) for (p, q), (dim, _) in self.entries]
+        except (TypeError, ValueError):
+            raise K3BVError("table entries are ((p, q), (dimension, label)) pairs") from None
+        mo.check_integers("table positions and dimensions", *cells)
 
     def as_dict(self) -> dict[tuple[int, int], tuple[int, str]]:
         return dict(self.entries)
@@ -54,6 +57,8 @@ class Filtration(Record):
     dims: tuple[int, ...]
 
     def __post_init__(self):
+        if not isinstance(self.dims, (list, tuple)) or not self.dims:
+            raise K3BVError(f"filtration dimensions must be a non-empty list, got {self.dims!r}")
         object.__setattr__(self, "dims", tuple(self.dims))
         mo.check_integers("filtration dimensions", self.dims)
         if any(b < a for a, b in zip(self.dims, self.dims[1:])):

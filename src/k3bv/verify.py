@@ -16,7 +16,7 @@ from . import matrixops as mo
 from .bv import BVData, euler_characteristic, hodge_numbers, mirror_swap
 from .catalog import hyperbolic_plane, k3_lattice
 from .census import (BasePoint, FiberCensus, FiberRecord, KodairaType,
-                     base_embed, dualize_census, total_euler, validate_census)
+                     base_embed, dualize_census, total_euler)
 from .cnum import QC
 from .domains import TubePoint, in_primed, in_tube
 from .errors import K3BVError
@@ -268,7 +268,6 @@ def criterion_8() -> str:
     rng = random.Random(SEED + 3)
     for _ in range(1000):
         c = _random_census(rng)
-        validate_census(c)
         e = total_euler(c)
         _check(e == 12 * (c.bv.n - c.bv.n_prime))
         d = dualize_census(c)

@@ -323,6 +323,20 @@ class TestStrictInput:
         with pytest.raises(K3BVError, match="bad involution JSON"):
             involution_from_json(obj)
 
+    @pytest.mark.parametrize("flag,argv", [
+        ("--n", ["bv", "hodge", "--nprime", "2", "--n"]),
+        ("--m", ["mirror", "construct", "--lattice", "U", "--e", "1,0", "--eprime", "0,1",
+                 "--m"]),
+        ("--rank", ["leray", "bv", "--rank"]),
+    ])
+    @pytest.mark.parametrize("value", ["x", "3/2", "1_0"])
+    def test_integer_option_message(self, capsys, flag, argv, value):
+        assert run(argv + [value]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"error: argument {flag}: expected an integer, got {value}\n" in captured.err
+        assert "int_from_json" not in captured.err
+
     @pytest.mark.parametrize("fixed", ["false", 0, 1, None])
     def test_fixed_must_be_a_json_bool(self, capsys, fixed):
         census = json.dumps({"n": 1, "nprime": 1, "fibers": (
@@ -330,3 +344,36 @@ class TestStrictInput:
             + [{"kodaira": "II", "fixed": fixed, "real": "singular_circle"}])})
         message = self.assert_domain_error(capsys, "census", "check", "--census", census)
         assert "fixed" in message
+
+
+class TestReaderErrorTypes:
+    """A domain error raised while a reader builds its values keeps its type
+    and message; only the reader's own schema failures are relabelled."""
+
+    def test_fiber_error_is_a_census_error(self, capsys):
+        census = json.dumps({"n": 1, "nprime": 1, "fibers": (
+            [{"kodaira": "I1", "fixed": False, "real": "figure_eight"}]
+            + [{"kodaira": "I1", "fixed": False}] * 23)})
+        for verb in ("check", "dualize"):
+            code, out = invoke(capsys, "census", verb, "--census", census)
+            assert code == 1
+            assert json.loads(out) == {"error": {
+                "type": "CensusError", "message": "non-fixed fibers carry no real type"}}
+
+    def test_dependent_split_rows_are_a_dimension_mismatch(self, capsys):
+        t = json.loads(UU_JSON)
+        t["basis"][2] = [1, 0, 0, 0]
+        split = json.dumps({"t": t, "e": [1, 0, 0, 0], "eprime": [0, 1, 0, 0], "m": 1})
+        code, out = invoke(capsys, "mirror", "phi", "--split", split,
+                           "--b", "0,0", "--omega", "1,1")
+        assert code == 1
+        assert json.loads(out) == {"error": {
+            "type": "DimensionMismatch",
+            "message": "generator rows must be linearly independent over Q"}}
+
+    def test_schema_errors_are_still_named(self, capsys):
+        code, out = invoke(capsys, "census", "check", "--census",
+                           '{"n": 1, "nprime": 1, "fibers": [{"kodaira": "I3", "fixed": false}]}')
+        assert code == 1
+        assert json.loads(out)["error"] == {
+            "type": "K3BVError", "message": "bad census JSON: 'I3' is not a valid KodairaType"}

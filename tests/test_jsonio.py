@@ -8,8 +8,7 @@ from k3bv import K3BVError, KodairaType, RealFiberType, k3_lattice
 from k3bv.jsonio import (census_from_json, census_to_json, dumps,
                          int_from_json, involution_from_json, lattice_from_json,
                          lattice_to_json, parse_coords, rational_from_str,
-                         rational_to_str, sublattice_from_json,
-                         sublattice_to_json)
+                         sublattice_from_json, sublattice_to_json)
 
 
 class TestRationals:
@@ -20,7 +19,7 @@ class TestRationals:
         (Fraction(2, 4), "1/2"),
     ])
     def test_round_trip(self, value, text):
-        assert rational_to_str(value) == text
+        assert dumps(value) == f'"{text}"'
         assert rational_from_str(text) == value
 
     def test_negative_denominator_rejected(self):
@@ -117,3 +116,10 @@ def test_dumps_is_canonical():
     a = dumps({"b": 1, "a": [Fraction is None]})
     b = dumps({"a": [False], "b": 1})
     assert a == b
+
+
+@pytest.mark.parametrize("value", [object(), 1j, {1}, k3_lattice()])
+def test_dumps_refuses_other_objects(value):
+    # Only Fractions are rendered as text; anything else JSON cannot hold is an error.
+    with pytest.raises(TypeError, match="not JSON serializable"):
+        dumps({"a": [value]})

@@ -10,6 +10,7 @@ from k3bv import (K3BVError, PeriodVector, QC, Sublattice, TubePoint,
                   elliptic_table, filtration_dims, hyperbolic_plane,
                   in_period_domain, k3_table, recover_period_inputs,
                   swap_rows, y_betti)
+from k3bv import jsonio
 from k3bv.leray import Filtration, SpectralTable
 
 
@@ -94,6 +95,20 @@ class TestFiltration:
     def test_monotone_required(self):
         with pytest.raises(K3BVError):
             Filtration((2, 1))
+
+
+@pytest.mark.parametrize("call", [
+    lambda: filtration_dims(k3_table(), -1).quotients(),
+    lambda: Filtration(()).quotients(),
+    lambda: SpectralTable(((1, 2),)),
+    lambda: Filtration(5),
+    lambda: jsonio.lattice_by_name(3),
+    lambda: jsonio.parse_coords(5),
+], ids=["negative-degree", "empty-filtration", "flat-table-entry", "scalar-filtration",
+        "non-text-catalog-name", "non-text-coordinates"])
+def test_malformed_shapes_are_domain_errors(call):
+    with pytest.raises(K3BVError):
+        call()
 
 
 @pytest.fixture(scope="module")
