@@ -46,6 +46,6 @@ print("\nmirror period components (complex rationals):")
 for (label, factor), c in period.components:
     print(f"   {label:3s} (x) {factor}: {c.re} + {c.im} i")
 
-b1, w1, (b2, w2) = recover_period_inputs(period, 2)
+b1, w1, (b2, w2) = recover_period_inputs(period)
 print(f"\nrecovered B1 = {b1}, omega1 = {w1}, tau = {b2} + {w2} i")
 print(f"matches the input: {(b1, w1, (b2, w2)) == (p1.b, p1.omega, tau_data)}")

@@ -9,8 +9,7 @@ from .bv import (BVData, HodgePair, SelfMirrorLocus, euler_characteristic,
                  hodge_numbers, mirror_swap)
 from .catalog import e8_minus, hyperbolic_plane, k3_lattice
 from .census import (BasePoint, FiberCensus, FiberRecord, KodairaType,
-                     base_embed, census_slack, dualize_census,
-                     fiber_contribution, total_euler)
+                     base_embed, census_slack, dualize_census, total_euler)
 from .cnum import QC
 from .domains import (PeriodVector, TubePoint, in_delta, in_period_domain,
                       in_primed, in_tube)
@@ -33,6 +32,6 @@ from .leray import (Filtration, SpectralTable, TensorPeriod, bv_mirror_period,
                     swap_rows, y_betti)
 from .matrixops import SmithDecomposition, smith_normal_form
 from .mirror import AdmissiblePair, MirrorSplit, check_admissible, construct_mirror
-from .mirrormap import EllipticPeriod, elliptic_phi, phi, phi_inverse
+from .mirrormap import phi, phi_inverse
 
 __version__ = "0.1.0"

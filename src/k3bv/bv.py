@@ -14,7 +14,7 @@ from . import matrixops as mo
 from .errors import K3BVError
 from .record import Record
 
-__all__ = ["BVData", "HodgePair", "SelfMirrorLocus", "hodge_numbers",
+__all__ = ["BVData", "HodgePair", "SelfMirrorLocus", "check_bv_data", "hodge_numbers",
            "euler_characteristic", "mirror_swap"]
 
 
@@ -39,6 +39,12 @@ class SelfMirrorLocus(Enum):
     TWO_ELLIPTIC_CURVES = "two_elliptic_curves"
 
 
+def check_bv_data(d) -> None:
+    """Raise unless d is a BVData: the (N, N') formulas take nothing else."""
+    if not isinstance(d, BVData):
+        raise K3BVError(f"the (N, N') formulas take a BVData, got {d!r}")
+
+
 class HodgePair(Record):
     h11: int
     h21: int
@@ -46,8 +52,7 @@ class HodgePair(Record):
 
 def hodge_numbers(d: BVData) -> HodgePair:
     """h^{1,1} = 11 + 5N - N', h^{2,1} = 11 + 5N' - N."""
-    if isinstance(d, SelfMirrorLocus):
-        raise K3BVError("Hodge formulas do not apply to self-mirror fixed loci")
+    check_bv_data(d)
     h11 = 11 + 5 * d.n - d.n_prime
     h21 = 11 + 5 * d.n_prime - d.n
     if h11 <= 0 or h21 <= 0:
@@ -57,8 +62,7 @@ def hodge_numbers(d: BVData) -> HodgePair:
 
 def euler_characteristic(d: BVData) -> int:
     """e(X) = 12(N - N') = 2(h11 - h21)."""
-    if isinstance(d, SelfMirrorLocus):
-        raise K3BVError("Euler formula does not apply to self-mirror fixed loci")
+    check_bv_data(d)
     return 12 * (d.n - d.n_prime)
 
 
@@ -66,6 +70,7 @@ def mirror_swap(d: BVData | SelfMirrorLocus) -> BVData | SelfMirrorLocus:
     """Interchange N and N' (no mirror when N' = 0); self-mirror loci map to themselves."""
     if isinstance(d, SelfMirrorLocus):
         return d
+    check_bv_data(d)
     if d.n_prime == 0:
         raise K3BVError("N' = 0: the family has no mirror")
     return BVData(d.n_prime, d.n)

@@ -12,13 +12,13 @@ from enum import Enum
 from fractions import Fraction
 
 from . import matrixops as mo
-from .bv import BVData, mirror_swap
+from .bv import BVData, check_bv_data, euler_characteristic, mirror_swap
 from .errors import CensusError, K3BVError
 from .involution import RealFiberType, real_fiber_dual
 from .record import Record
 
 __all__ = ["KodairaType", "FiberRecord", "FiberCensus", "BasePoint", "census_slack",
-           "fiber_contribution", "total_euler", "dualize_census", "base_embed"]
+           "total_euler", "dualize_census", "base_embed"]
 
 
 class KodairaType(Enum):
@@ -49,6 +49,7 @@ class FiberRecord(Record):
 
 _KIND = ("kodaira", "fixed", "real_type")
 _CP = (KodairaType.I1, True, RealFiberType.CIRCLE_POINT)
+_F8 = (KodairaType.I1, True, RealFiberType.FIGURE_EIGHT)
 
 
 class FiberCensus(Record):
@@ -62,11 +63,14 @@ class FiberCensus(Record):
     bv: BVData
 
     def __post_init__(self):
+        check_bv_data(self.bv)
         object.__setattr__(self, "records", tuple(self.records))
+        if not all(isinstance(r, FiberRecord) for r in self.records):
+            raise CensusError("census records must be FiberRecords")
         t = Counter((r.kodaira, r.fixed, r.real_type) for r in self.records)
         object.__setattr__(self, "_tally", t)
         i1, ii = KodairaType.I1, KodairaType.II
-        cp, f8 = t[_CP], t[i1, True, RealFiberType.FIGURE_EIGHT]
+        cp, f8 = t[_CP], t[_F8]
         free_i1, free_ii = t[i1, False, None], t[ii, False, None]
         euler = cp + f8 + free_i1 + 2 * (t[ii, True, RealFiberType.SINGULAR_CIRCLE] + free_ii)
         if euler != 24:
@@ -98,17 +102,10 @@ def census_slack(c: FiberCensus) -> int:
     return c._tally[_CP] - 2 * (c.bv.n - 1)
 
 
-def fiber_contribution(r: FiberRecord) -> int:
-    """Euler contribution: fixed nodal fibers give -6 or +6, all else 0."""
-    if r.kodaira is KodairaType.I1 and r.fixed:
-        return -6 if r.real_type is RealFiberType.FIGURE_EIGHT else 6
-    return 0
-
-
 def total_euler(c: FiberCensus) -> int:
-    """Sum of contributions; certified against 12(N - N')."""
-    total = sum(fiber_contribution(r) for r in c.records)
-    expected = 12 * (c.bv.n - c.bv.n_prime)
+    """6 (#circle-point - #figure-eight) off the tally, certified against 12(N - N')."""
+    total = 6 * (c._tally[_CP] - c._tally[_F8])
+    expected = euler_characteristic(c.bv)
     if total != expected:
         raise CensusError(
             f"census sums to {total} but 12(N - N') = {expected}: inconsistent census")

@@ -13,7 +13,6 @@ from . import matrixops as mo
 from .cnum import QC
 from .domains import TubePoint, in_tube
 from .errors import K3BVError
-from .mirrormap import elliptic_phi
 from .record import Record
 
 __all__ = ["SpectralTable", "Filtration", "TensorPeriod", "k3_table",
@@ -99,11 +98,15 @@ def swap_rows(t: SpectralTable) -> SpectralTable:
     return SpectralTable(tuple(sorted(out)))
 
 
-def bv_table(r: int) -> SpectralTable:
-    """E2 table of the three-torus fibration on Y = S x A / involution."""
+def _check_rank(r: int) -> None:
     mo.check_integers("rank of M", (r,))
     if not 1 <= r <= 19:
         raise K3BVError(f"rank of M must be in 1..19, got {r}")
+
+
+def bv_table(r: int) -> SpectralTable:
+    """E2 table of the three-torus fibration on Y = S x A / involution."""
+    _check_rank(r)
     return SpectralTable((
         ((0, 0), (1, "Q")),
         ((3, 0), (1, "Q")),
@@ -118,9 +121,7 @@ def bv_table(r: int) -> SpectralTable:
 
 def y_betti(r: int) -> tuple[int, ...]:
     """Betti numbers of Y from the invariant part of the Kunneth formula."""
-    mo.check_integers("rank of M", (r,))
-    if not 1 <= r <= 19:
-        raise K3BVError(f"rank of M must be in 1..19, got {r}")
+    _check_rank(r)
     return (1, 0, r + 1, 2 * (22 - r), r + 1, 0, 1)
 
 
@@ -145,17 +146,25 @@ def filtration_dims(t: SpectralTable, n: int) -> Filtration:
 class TensorPeriod(Record):
     """Finite complex-rational coefficients on {E, E', m_i} x {s_x, s_y}.
 
-    Labels "E" and "E'" name the hyperbolic basis of P; "m<i>" names the
-    i-th generator of M.
+    "E" and "E'" name the hyperbolic basis of P; "m<i>" names the i-th of
+    the m_rank generators of M. Zero coefficients are omitted, so the
+    labels alone do not give m_rank.
     """
 
     components: tuple[tuple[tuple[str, str], QC], ...]
+    m_rank: int
+
+    def __post_init__(self):
+        mo.check_integers("rank of M", (self.m_rank,))
+        if self.m_rank < 1:
+            raise K3BVError(f"rank of M must be >= 1, got {self.m_rank}")
+        labels = ("E", "E'", *(f"m{i}" for i in range(self.m_rank)))
+        object.__setattr__(self, "_coefficients", dict(self.components))
+        if not {(x, f) for x in labels for f in ("s_x", "s_y")}.issuperset(self._coefficients):
+            raise K3BVError(f"keys must lie in {{E, E', m0..m{self.m_rank - 1}}} x {{s_x, s_y}}")
 
     def coefficient(self, label: str, factor: str) -> QC:
-        for key, val in self.components:
-            if key == (label, factor):
-                return val
-        return QC(0, 0)
+        return self._coefficients.get((label, factor), QC(0, 0))
 
 
 def bv_mirror_period(p1: TubePoint, p2: tuple) -> TensorPeriod:
@@ -169,7 +178,11 @@ def bv_mirror_period(p1: TubePoint, p2: tuple) -> TensorPeriod:
     """
     if not in_tube(p1):
         raise K3BVError("p1 is not in the tube domain")
-    tau = elliptic_phi(p2[0], p2[1]).tau
+    if not isinstance(p2, (tuple, list)) or len(p2) != 2:
+        raise K3BVError(f"p2 must be a pair (B2, omega2), got {p2!r}")
+    tau = QC(*p2)
+    if tau.im <= 0:
+        raise K3BVError("tau must lie in the upper half plane")
     w_sq = p1.omega_sq()
     b_sq = p1.b_sq()
     # Complex coefficients of Omega_S in the basis {E, E', m_0, ...}.
@@ -189,10 +202,10 @@ def bv_mirror_period(p1: TubePoint, p2: tuple) -> TensorPeriod:
         prod = coeff * tau
         if not prod.is_zero():
             components.append(((label, "s_y"), prod))
-    return TensorPeriod(tuple(components))
+    return TensorPeriod(tuple(components), p1.lattice.rank)
 
 
-def recover_period_inputs(tp: TensorPeriod, m_rank: int) -> tuple[tuple, tuple, tuple]:
+def recover_period_inputs(tp: TensorPeriod) -> tuple[tuple, tuple, tuple]:
     """Read (B1, omega1) and (B2, omega2) back off a tensor period.
 
     Works modulo the filtration span of E (x) s_x and E (x) s_y: only the
@@ -203,7 +216,7 @@ def recover_period_inputs(tp: TensorPeriod, m_rank: int) -> tuple[tuple, tuple, 
         raise K3BVError("period has no E' (x) s_x component; not a mirror period")
     tau = tp.coefficient("E'", "s_y") / anchor
     b1, w1 = [], []
-    for i in range(m_rank):
+    for i in range(tp.m_rank):
         coeff = tp.coefficient(f"m{i}", "s_x") / anchor
         b1.append(coeff.re)
         w1.append(coeff.im)

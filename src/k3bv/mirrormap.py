@@ -1,4 +1,4 @@
-"""The explicit K3 mirror map, its inverse, and the elliptic-curve case.
+"""The explicit K3 mirror map and its inverse.
 
 phi sends a complexified Kahler class B + i*omega over M-check to a
 period over T:
@@ -16,23 +16,11 @@ from fractions import Fraction
 from math import lcm
 
 from . import matrixops as mo
-from .cnum import QC
 from .domains import PeriodVector, TubePoint, in_period_domain
 from .errors import K3BVError, NormalizationError
 from .mirror import MirrorSplit
-from .record import Record
 
-__all__ = ["EllipticPeriod", "phi", "phi_inverse", "elliptic_phi"]
-
-
-class EllipticPeriod(Record):
-    """Normalized elliptic period s_x + tau * s_y with tau = B + i*omega."""
-
-    tau: QC
-
-    def __post_init__(self):
-        if self.tau.im <= 0:
-            raise K3BVError("tau must lie in the upper half plane")
+__all__ = ["phi", "phi_inverse"]
 
 
 def phi(split: MirrorSplit, p: TubePoint) -> PeriodVector:
@@ -92,8 +80,3 @@ def phi_inverse(split: MirrorSplit, om: PeriodVector) -> TubePoint:
     return TubePoint(split.m_check,
                      tuple(Fraction(xk * a + yk * b, den) for xk, yk in pairs),
                      tuple(Fraction(yk * a - xk * b, den) for xk, yk in pairs))
-
-
-def elliptic_phi(b, omega) -> EllipticPeriod:
-    """Elliptic-curve mirror map: (B, omega) -> s_x + (B + i*omega) s_y."""
-    return EllipticPeriod(QC(b, omega))

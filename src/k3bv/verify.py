@@ -304,7 +304,7 @@ def criterion_10() -> str:
         w2 = Fraction(rng.randint(1, 9), rng.choice((1, 2)))
         tp = bv_mirror_period(p1, (b2, w2))
         _check(tp.coefficient("E'", "s_x") == QC(1, 0), "anchor coefficient != 1")
-        rb1, rw1, (rb2, rw2) = recover_period_inputs(tp, 2)
+        rb1, rw1, (rb2, rw2) = recover_period_inputs(tp)
         _check(rb1 == p1.b and rw1 == p1.omega)
         _check((rb2, rw2) == (b2, w2))
     return "50 random inputs: anchor = 1, recovery exact"

@@ -6,8 +6,7 @@ import pytest
 
 from k3bv import (BVData, BasePoint, CensusError, FiberCensus, FiberRecord,
                   K3BVError, KodairaType, RealFiberType, base_embed,
-                  census_slack, dualize_census, fiber_contribution,
-                  total_euler)
+                  census_slack, dualize_census, total_euler)
 
 I1, II = KodairaType.I1, KodairaType.II
 F8 = RealFiberType.FIGURE_EIGHT
@@ -71,16 +70,26 @@ class TestValidateCensus:
 
 
 class TestContributions:
+    """Through total_euler: a fixed figure eight counts -6, a fixed circle
+    plus point +6, and every other fiber 0."""
+
     def test_fixed_figure_eight(self):
-        assert fiber_contribution(FiberRecord(I1, True, F8)) == -6
+        c = make_census(1, 3)
+        assert c.count(real_type=F8) == 4 and c.count(real_type=CP) == 0
+        assert total_euler(c) == 4 * -6
 
     def test_fixed_circle_point(self):
-        assert fiber_contribution(FiberRecord(I1, True, CP)) == 6
+        c = make_census(3, 1)
+        assert c.count(real_type=CP) == 4 and c.count(real_type=F8) == 0
+        assert total_euler(c) == 4 * 6
 
     def test_everything_else_zero(self):
-        assert fiber_contribution(FiberRecord(I1, False)) == 0
-        assert fiber_contribution(FiberRecord(II, False)) == 0
-        assert fiber_contribution(FiberRecord(II, True, SC)) == 0
+        # 4 circle-point and 6 figure-eight fibers; non-fixed I1 fibers fill
+        # the count of 24, and fixed or non-fixed II fibers change nothing.
+        for n_ii, fixed_ii in ((0, 0), (2, 0), (2, 2), (4, 2), (3, 1)):
+            c = make_census(3, 4, n_ii=n_ii, fixed_ii=fixed_ii)
+            assert c.count(kodaira=I1, fixed=False) == 14 - 2 * n_ii
+            assert total_euler(c) == 6 * (4 - 6)
 
 
 class TestTotalEuler:

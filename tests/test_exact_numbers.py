@@ -9,8 +9,8 @@ import pytest
 from k3bv import (BasePoint, BVData, DimensionMismatch, IntegerLattice,
                   LatticeInvolution, PeriodVector, Sublattice, SymplecticSpace,
                   TubePoint, UnitPhase, bv_mirror_period, bv_table, check_admissible,
-                  coordinates_in, elliptic_phi, hyperbolic_plane, pairing,
-                  phase_rotate, rotation_table, transpose_defect, y_betti)
+                  coordinates_in, hyperbolic_plane, pairing, phase_rotate,
+                  rotation_table, transpose_defect, y_betti)
 from k3bv import matrixops as mo
 from k3bv.cnum import QC
 
@@ -53,7 +53,6 @@ BOUNDARIES = {
                        f"vector entries {RATIONALS}"),
     "phase_rotate": (lambda x: phase_rotate((1, x), (0, 1), UnitPhase(1, 0)),
                      f"Omega coordinates {RATIONALS}"),
-    "elliptic_phi": (lambda x: elliptic_phi(x, 1), f"real and imaginary parts {RATIONALS}"),
     "bv_mirror_period": (lambda x: bv_mirror_period(TubePoint(FULL_U, (0, 0), (1, 1)), (x, 1)),
                          f"real and imaginary parts {RATIONALS}"),
     "BVData": (lambda x: BVData(2, x), f"N and N' {INTS}"),

@@ -5,8 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from k3bv import (K3BVError, PeriodVector, QC, Sublattice, TubePoint,
-                  bv_mirror_period, bv_table, check_degeneration,
+from k3bv import (IntegerLattice, K3BVError, PeriodVector, QC, Sublattice, TubePoint,
+                  bv_mirror_period, bv_table, check_degeneration, direct_sum,
                   elliptic_table, filtration_dims, hyperbolic_plane,
                   in_period_domain, k3_table, recover_period_inputs,
                   swap_rows, y_betti)
@@ -134,11 +134,16 @@ class TestBVMirrorPeriod:
         assert tp.coefficient("E'", "s_x") == QC(1, 0)
 
     def test_recovery(self, m_u):
-        p1 = TubePoint(m_u, (Fraction(1, 2), -2), (3, 1))
-        tp = bv_mirror_period(p1, (Fraction(-5, 3), Fraction(1, 2)))
-        b1, w1, (b2, w2) = recover_period_inputs(tp, 2)
-        assert b1 == p1.b and w1 == p1.omega
-        assert (b2, w2) == (Fraction(-5, 3), Fraction(1, 2))
+        # On M = U + <-2> with zero third coordinates the period has no m2
+        # component, and recovery still returns all three coordinates.
+        m_u_a1 = Sublattice.full(direct_sum(hyperbolic_plane(1), IntegerLattice(((-2,),))))
+        for p1 in (TubePoint(m_u, (Fraction(1, 2), -2), (3, 1)),
+                   TubePoint(m_u_a1, (0, 0, 0), (1, 1, 0))):
+            tp = bv_mirror_period(p1, (Fraction(-5, 3), Fraction(1, 2)))
+            b1, w1, (b2, w2) = recover_period_inputs(tp)
+            assert b1 == p1.b and w1 == p1.omega
+            assert (b2, w2) == (Fraction(-5, 3), Fraction(1, 2))
+        assert len(b1) == 3 and "m2" not in {label for (label, _), _ in tp.components}
 
     def test_k3_factor_is_a_period(self, uu_split, m_u):
         # Reassembling the K3 coefficients of the tensor period gives a
@@ -167,4 +172,4 @@ class TestBVMirrorPeriod:
     def test_recovery_needs_anchor(self):
         from k3bv.leray import TensorPeriod
         with pytest.raises(K3BVError):
-            recover_period_inputs(TensorPeriod(((("E", "s_x"), QC(1, 0)),)), 2)
+            recover_period_inputs(TensorPeriod(((("E", "s_x"), QC(1, 0)),), 2))

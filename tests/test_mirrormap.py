@@ -1,4 +1,5 @@
-"""The explicit mirror map, its inverse, and the elliptic case."""
+"""The explicit mirror map, its inverse, and the elliptic case through the
+Borcea-Voisin mirror period."""
 
 from fractions import Fraction
 
@@ -7,8 +8,8 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from k3bv import (K3BVError, NormalizationError, PeriodVector, QC, Sublattice,
-                  TubePoint, check_admissible, construct_mirror, coordinates_in,
-                  direct_sum, elliptic_phi, hyperbolic_plane, in_primed, in_tube,
+                  TubePoint, bv_mirror_period, check_admissible, construct_mirror,
+                  coordinates_in, direct_sum, hyperbolic_plane, in_primed, in_tube,
                   k3_lattice, orthogonal_complement, phi, phi_inverse)
 from k3bv import matrixops as mo
 
@@ -85,19 +86,23 @@ class TestPhiInverse:
 
 
 class TestEllipticPhi:
+    """The elliptic mirror map (B2, omega2) -> tau = B2 + i*omega2 is the
+    E' (x) s_y coefficient of the Borcea-Voisin mirror period."""
+
+    P1 = TubePoint(Sublattice.full(hyperbolic_plane(1)), (0, 0), (1, 1))
+
     def test_unit_tau(self):
-        per = elliptic_phi(0, 1)
-        assert per.tau == QC(0, 1)
+        assert bv_mirror_period(self.P1, (0, 1)).coefficient("E'", "s_y") == QC(0, 1)
 
     def test_general_tau(self):
-        per = elliptic_phi(Fraction(1, 2), 3)
-        assert per.tau == QC(Fraction(1, 2), 3)
+        tp = bv_mirror_period(self.P1, (Fraction(1, 2), 3))
+        assert tp.coefficient("E'", "s_y") == QC(Fraction(1, 2), 3)
 
     def test_rejects_nonpositive_omega(self):
-        with pytest.raises(K3BVError):
-            elliptic_phi(0, 0)
-        with pytest.raises(K3BVError):
-            elliptic_phi(1, -2)
+        with pytest.raises(K3BVError, match="^tau must lie in the upper half plane$"):
+            bv_mirror_period(self.P1, (0, 0))
+        with pytest.raises(K3BVError, match="^tau must lie in the upper half plane$"):
+            bv_mirror_period(self.P1, (1, -2))
 
 
 # --- splits whose bases are not coordinate-aligned ---------------------------
