@@ -64,9 +64,10 @@ class FiberCensus(Record):
 
     def __post_init__(self):
         check_bv_data(self.bv)
+        if not isinstance(self.records, (tuple, list)) or not all(
+                isinstance(r, FiberRecord) for r in self.records):
+            raise CensusError("census records must be a sequence of FiberRecords")
         object.__setattr__(self, "records", tuple(self.records))
-        if not all(isinstance(r, FiberRecord) for r in self.records):
-            raise CensusError("census records must be FiberRecords")
         t = Counter((r.kodaira, r.fixed, r.real_type) for r in self.records)
         object.__setattr__(self, "_tally", t)
         i1, ii = KodairaType.I1, KodairaType.II

@@ -108,11 +108,13 @@ class SymplecticSpace(Record):
 
 
 def invariant_sublattices(rho: LatticeInvolution) -> tuple[Sublattice, Sublattice]:
-    """Saturated kernels of (rho - Id) and (rho + Id); their ranks add up to
-    n, since rho^2 = Id splits Q^n into the two eigenspaces."""
-    shifted = ([row[:i] + (row[i] - s,) + row[i + 1:] for i, row in enumerate(rho.matrix)]
+    """Saturated kernels of (rho - Id) and (rho + Id), read as saturations of
+    the columns of (rho + Id) and (rho - Id): as rho^2 = Id splits Q^n into
+    the two eigenspaces, the image of rho +- Id spans the +-1 eigenspace."""
+    cols = mo.transpose(rho.matrix)
+    shifted = ([col[:i] + (col[i] + s,) + col[i + 1:] for i, col in enumerate(cols)]
                for s in (1, -1))
-    return tuple(Sublattice(rho.lattice, mo.integer_kernel(a)) for a in shifted)
+    return tuple(Sublattice(rho.lattice, mo.saturate(a, rho.lattice.rank)) for a in shifted)
 
 
 def reflection_through(p_in_l: Sublattice) -> Matrix:

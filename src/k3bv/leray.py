@@ -158,10 +158,13 @@ class TensorPeriod(Record):
         mo.check_integers("rank of M", (self.m_rank,))
         if self.m_rank < 1:
             raise K3BVError(f"rank of M must be >= 1, got {self.m_rank}")
-        labels = ("E", "E'", *(f"m{i}" for i in range(self.m_rank)))
+        keys = [(x, f) for x in ("E", "E'", *(f"m{i}" for i in range(self.m_rank)))
+                for f in ("s_x", "s_y")]
+        if not isinstance(self.components, (tuple, list)) or not all(
+                isinstance(c, tuple) and len(c) == 2 and c[0] in keys for c in self.components):
+            raise K3BVError("components must be (key, coefficient) pairs with keys in "
+                            f"{{E, E', m0..m{self.m_rank - 1}}} x {{s_x, s_y}}")
         object.__setattr__(self, "_coefficients", dict(self.components))
-        if not {(x, f) for x in labels for f in ("s_x", "s_y")}.issuperset(self._coefficients):
-            raise K3BVError(f"keys must lie in {{E, E', m0..m{self.m_rank - 1}}} x {{s_x, s_y}}")
 
     def coefficient(self, label: str, factor: str) -> QC:
         return self._coefficients.get((label, factor), QC(0, 0))

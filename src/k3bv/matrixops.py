@@ -6,12 +6,14 @@ and check_rationals refuse anything else, even 2.0. One row Hermite
 normal form routine is the elimination kernel: ranks, solutions and
 inverses are read off the form of the denominator-cleared rows of
 [a | rhs] by one integer back-substitution, a Fraction is built only for
-a result, and integer kernels, saturation and the Smith normal form come
-from it too, with canonical kernel and saturation bases in that form.
-Lattice equality compares Hermite normal forms; one scan recognises a
-matrix already in that form. A determinant eliminates forward only.
-Ranks in this package never exceed 22. The product a b skips the zero
-entries of each row of a that is at least half zero.
+a result, and integer kernels and the Smith normal form come from it too.
+A saturation is one form of the columns, with no transform carried, and
+an exact forward substitution. Kernel and saturation bases come back in
+that form. Lattice equality compares Hermite normal forms; one scan
+recognises a matrix already in that form. A determinant eliminates
+forward only. Ranks in this package never exceed 22. The product a b
+skips the zero entries of each row of a that is at least half zero, and
+a Hermite step those of a pivot row that is at least half zero.
 """
 
 from __future__ import annotations
@@ -219,23 +221,34 @@ def _hermite(rows: list[list[int]], ncols: int) -> list[list[int]]:
         live = [i for i in range(r, len(rows)) if rows[i][c]]
         while len(live) > 1:
             p = min(live, key=lambda i: abs(rows[i][c]))
-            prow, h = rows[p], rows[p][c]
-            for i in live:
-                if i != p:
-                    q = rows[i][c] // h
-                    rows[i] = [x - q * y for x, y in zip(rows[i], prow)]
+            _reduce(rows, [i for i in live if i != p], rows[p], c)
             live = [i for i in live if rows[i][c]]
         if not live:
             continue
         rows[r], rows[live[0]] = rows[live[0]], rows[r]
         if rows[r][c] < 0:
             rows[r] = [-x for x in rows[r]]
-        for i in range(r):
-            q = rows[i][c] // rows[r][c]
-            if q:
-                rows[i] = [x - q * y for x, y in zip(rows[i], rows[r])]
+        _reduce(rows, range(r), rows[r], c)
         r += 1
     return rows
+
+
+def _reduce(rows: list[list[int]], targets, prow: list[int], c: int) -> None:
+    """rows[i] -= (rows[i][c] // prow[c]) * prow for each i in targets. A
+    pivot row that is at least half zero updates each row in place at its
+    nonzero positions only; a denser one rebuilds the row."""
+    sparse = 2 * prow.count(0) >= len(prow)
+    nonzero = [(j, y) for j, y in enumerate(prow) if y] if sparse else None
+    for i in targets:
+        q = rows[i][c] // prow[c]
+        if not q:
+            continue
+        if nonzero is None:
+            rows[i] = [x - q * y for x, y in zip(rows[i], prow)]
+        else:
+            row = rows[i]
+            for j, y in nonzero:
+                row[j] -= q * y
 
 
 def hermite_normal_form(a: Matrix) -> Matrix:
@@ -255,25 +268,35 @@ def is_hermite_form(a: Matrix) -> bool:
                for i, (d, c) in enumerate(zip([-1] + leads, leads)))
 
 
-def _kernel(a: Matrix, n: int) -> Matrix:
-    """A basis of {v in Z^n : a v = 0}: the transform rows of the HNF of
-    [a^T | I] whose left part is zero (Cohen, Sec. 2.4.3)."""
-    m = len(a)
-    rows = _hermite([[row[j] for row in a] + [int(i == j) for i in range(n)]
-                     for j in range(n)], m)
-    return freeze(row[m:] for row in rows if not any(row[:m]))
-
-
 def integer_kernel(a: Matrix) -> Matrix:
     """Basis (rows) of {v in Z^n : a v = 0}, in Hermite normal form; the
-    basis is saturated."""
-    return hermite_normal_form(_kernel(a, len(a[0]) if a else 0))
+    basis is saturated. It is read off the transform rows of the HNF of
+    [a^T | I] whose left part is zero (Cohen, Sec. 2.4.3)."""
+    m, n = len(a), len(a[0]) if a else 0
+    rows = _hermite([[row[j] for row in a] + [int(i == j) for i in range(n)]
+                     for j in range(n)], m)
+    return hermite_normal_form(freeze(row[m:] for row in rows if not any(row[:m])))
 
 
 def saturate(rows: Matrix, n: int) -> Matrix:
-    """HNF basis of the integer points of the rational span of rows in Z^n:
-    the kernel of the kernel. The rows need not be independent."""
-    return hermite_normal_form(_kernel(_kernel(rows, n), n))
+    """HNF basis of the integer points of the rational span of rows in Z^n,
+    from one HNF h = U rows^T with no transform carried. As rows^T =
+    U^-1 h with U unimodular, the first r columns W_i of U^-1 are a
+    primitive basis of the span; with c_i the pivot columns of h they
+    are W_i = (rows[c_i] - sum_(k < i) h_k[c_i] W_k) / h_i[c_i], exact
+    forward. The rows need not be independent."""
+    h = _hermite([[row[j] for row in rows] for j in range(n)], len(rows))
+    w = []
+    for hrow in h:
+        c = next((j for j, x in enumerate(hrow) if x), None)
+        if c is None:
+            break
+        v = rows[c]
+        for hk, wk in zip(h, w):
+            if f := hk[c]:
+                v = [x - f * y for x, y in zip(v, wk)]
+        w.append([x // hrow[c] for x in v])
+    return hermite_normal_form(freeze(w))
 
 
 class SmithDecomposition(Record):

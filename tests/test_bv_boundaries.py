@@ -1,8 +1,8 @@
 """The Borcea-Voisin entry points refuse a value of the wrong kind with a
-K3BVError: the (N, N') formulas take only a BVData, a census only
-FiberRecords, the elliptic factor only a pair (B2, omega2), and a tensor
-period only keys on {E, E', m_0 .. m_{r-1}} x {s_x, s_y} with r an exact
-int >= 1."""
+K3BVError: the (N, N') formulas take only a BVData, a census only a
+sequence of FiberRecords, the elliptic factor only a pair (B2, omega2), and
+a tensor period only (key, coefficient) pairs with keys on
+{E, E', m_0 .. m_{r-1}} x {s_x, s_y} and r an exact int >= 1."""
 
 import pytest
 
@@ -23,6 +23,7 @@ CASES = {
     "mirror_swap tuple": lambda: mirror_swap((1, 2)),
     "mirror_swap None": lambda: mirror_swap(None),
     "FiberCensus non-record": lambda: FiberCensus((5,), BVData(1, 1)),
+    "FiberCensus non-sequence records": lambda: FiberCensus(5, BVData(1, 1)),
     "FiberCensus self-mirror locus": lambda: FiberCensus(NON_FIXED, SelfMirrorLocus.EMPTY),
     "FiberCensus tuple bv": lambda: FiberCensus(NON_FIXED, (1, 1)),
     "bv_mirror_period one-element p2": lambda: bv_mirror_period(P1, (0,)),
@@ -30,6 +31,7 @@ CASES = {
     "TensorPeriod label past rank": lambda: TensorPeriod(ANCHOR + ((("m2", "s_x"), QC(1, 0)),), 2),
     "TensorPeriod float rank": lambda: TensorPeriod(ANCHOR, 2.0),
     "TensorPeriod bool rank": lambda: TensorPeriod(ANCHOR, True),
+    "TensorPeriod non-pair component": lambda: TensorPeriod((5,), 2),
 }
 
 

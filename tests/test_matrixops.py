@@ -388,6 +388,15 @@ class TestHermiteEquality:
         assert mo.hermite_normal_form(((1, 7), (0, -3))) == ((1, 1), (0, 3))
         assert mo.hermite_normal_form(((0, -3), (0, 6))) == ((0, 3), (0, 0))
 
+    def test_half_zero_pivot_rows(self):
+        # The first pivot row (2, 0, 3, 0) is exactly half zero and updates
+        # the rows below in place at its two nonzero positions; the second,
+        # (0, 1, -6, 5), is denser and rebuilds them. |det| = 2 * 1 * 2 * 55.
+        a = ((2, 0, 3, 0), (4, 1, 0, 5), (6, 2, 1, 1), (0, 3, 0, 2))
+        h = ((2, 0, 1, 32), (0, 1, 0, 19), (0, 0, 2, 23), (0, 0, 0, 55))
+        assert mo.hermite_normal_form(a) == h
+        assert abs(mo.bareiss_det(a)) == 220 and spans_within(a, h)
+
 
 # --- kernels and saturation from the Hermite form ---------------------------
 
@@ -402,6 +411,36 @@ def spans_within(rows, basis):
     Hermite form of basis unchanged apart from zero rows."""
     h = mo.hermite_normal_form(tuple(basis) + tuple(rows))
     return h[:len(basis)] == tuple(basis) and not any(any(row) for row in h[len(basis):])
+
+
+def kernel_of(a, n):
+    """Basis of {v in Z^n : a v = 0}: the right parts of the rows of the HNF
+    of [a^T | I] whose left part is zero, since an echelon basis of a
+    lattice meets 0 x Z^n in a basis of that intersection."""
+    m = len(a)
+    h = mo.hermite_normal_form(tuple(tuple(row[j] for row in a) + e
+                                     for j, e in enumerate(mo.identity(n))))
+    return tuple(row[m:] for row in h if not any(row[:m]))
+
+
+@st.composite
+def spanning_rows(draw):
+    """(rows, n): up to 8 rows in Z^n, n <= 5, so more rows than columns
+    occur; a row may be drawn, zero, a combination of the two before it,
+    or a multiple c * row with 2 <= |c| <= 4."""
+    n = draw(st.integers(0, 5))
+    rows = draw(st.lists(st.lists(st.integers(-9, 9), min_size=n, max_size=n), max_size=8))
+    for i, row in enumerate(rows):
+        kind = draw(st.sampled_from(("drawn", "zero", "combination", "scaled")))
+        if kind == "zero":
+            rows[i] = [0] * n
+        elif kind == "combination" and i >= 2:
+            c1, c2 = draw(ints), draw(ints)
+            rows[i] = [c1 * x + c2 * y for x, y in zip(rows[i - 1], rows[i - 2])]
+        elif kind == "scaled":
+            c = draw(st.sampled_from((2, 3, 4, -2, -3, -4)))
+            rows[i] = [c * x for x in row]
+    return mo.freeze(rows), n
 
 
 class TestHermiteKernels:
@@ -424,6 +463,12 @@ class TestHermiteKernels:
         assert snf_is_trivial(sat)
         assert spans_within(a, sat)
         assert mo.saturate(tuple(tuple(c * x for x in row) for row in a), n) == sat
+
+    @settings(max_examples=300, deadline=None)
+    @given(spanning_rows())
+    def test_saturate_is_kernel_of_kernel(self, rn):
+        rows, n = rn
+        assert mo.saturate(rows, n) == mo.hermite_normal_form(kernel_of(kernel_of(rows, n), n))
 
     def test_kernel_of_zero_row_is_everything(self):
         assert mo.integer_kernel(((0, 0, 0),)) == mo.identity(3)
