@@ -24,10 +24,11 @@ __all__ = ["TubePoint", "PeriodVector", "in_tube", "in_period_domain",
 
 
 def _check_coords(rank: int, v: Vector, what: str) -> Vector:
+    (v,) = mo.freeze((v,))
     if len(v) != rank:
         raise DimensionMismatch(f"{what} has length {len(v)}, lattice rank is {rank}")
     check_rationals(f"{what} coordinates", v)
-    return tuple(v)
+    return v
 
 
 def _form(sub: Sublattice, v: Vector, w: Vector) -> Fraction:

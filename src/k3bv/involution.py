@@ -21,8 +21,8 @@ from .mirror import MirrorSplit
 from .record import Record
 
 __all__ = ["LatticeInvolution", "RealFiberType", "SymplecticSpace",
-           "invariant_sublattices", "mirror_involution", "transpose_defect",
-           "real_fiber_dual"]
+           "invariant_sublattices", "mirror_involution", "reflection_through",
+           "transpose_defect", "real_fiber_dual"]
 
 
 class LatticeInvolution(Record):

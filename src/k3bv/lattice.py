@@ -28,7 +28,9 @@ __all__ = [
     "is_primitive",
     "direct_sum",
     "coordinates_in",
+    "contains",
     "same_sublattice",
+    "is_saturated",
 ]
 
 
@@ -55,11 +57,12 @@ class IntegerLattice(Record):
         return all(self.gram[i][i] % 2 == 0 for i in range(self.rank))
 
     def check_vector(self, v: Vector) -> Vector:
+        (v,) = mo.freeze((v,))
         if len(v) != self.rank:
             raise DimensionMismatch(
                 f"vector of length {len(v)} in lattice of rank {self.rank}")
         mo.check_rationals("vector entries", v)
-        return tuple(v)
+        return v
 
 
 class Sublattice(Record):
@@ -76,12 +79,12 @@ class Sublattice(Record):
             raise DimensionMismatch("generator rows must have ambient rank length")
         mo.check_integers("generator entries", *b)
         # The row HNF is the canonical key same_sublattice compares; its
-        # last row is zero exactly when the rows are dependent. A basis
-        # already in HNF is its own key.
+        # last row is zero exactly when the rows are dependent. A basis equal
+        # to it is its own key, which tells coordinates_in to go pivot by pivot.
         hnf = mo.hermite_normal_form(b)
         if hnf and not any(hnf[-1]):
             raise DimensionMismatch("generator rows must be linearly independent over Q")
-        object.__setattr__(self, "_hnf", hnf)
+        object.__setattr__(self, "_hnf", b if hnf == b else hnf)
 
     @classmethod
     def full(cls, lattice: IntegerLattice) -> "Sublattice":
@@ -180,9 +183,7 @@ def is_saturated(s: Sublattice) -> bool:
 
 def coordinates_in(s: Sublattice, v: Vector) -> Vector:
     """Integer coordinates of an ambient vector of S in the basis of S."""
-    if len(v) != s.ambient.rank:
-        raise DimensionMismatch("vector length does not match ambient rank")
-    mo.check_rationals("vector entries", v)
+    v = s.ambient.check_vector(v)
     r, d = mo.clear_denominators(v)
     if s._hnf is s.basis and d == 1:
         # Pivot by pivot on an HNF basis: x_i = r[c_i] // p_i, r -= x_i b_i. A

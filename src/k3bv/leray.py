@@ -161,7 +161,8 @@ class TensorPeriod(Record):
         keys = [(x, f) for x in ("E", "E'", *(f"m{i}" for i in range(self.m_rank)))
                 for f in ("s_x", "s_y")]
         if not isinstance(self.components, (tuple, list)) or not all(
-                isinstance(c, tuple) and len(c) == 2 and c[0] in keys for c in self.components):
+                isinstance(c, tuple) and len(c) == 2 and c[0] in keys
+                and isinstance(c[1], QC) for c in self.components):
             raise K3BVError("components must be (key, coefficient) pairs with keys in "
                             f"{{E, E', m0..m{self.m_rank - 1}}} x {{s_x, s_y}}")
         object.__setattr__(self, "_coefficients", dict(self.components))

@@ -9,11 +9,11 @@ inverses are read off the form of the denominator-cleared rows of
 a result, and integer kernels and the Smith normal form come from it too.
 A saturation is one form of the columns, with no transform carried, and
 an exact forward substitution. Kernel and saturation bases come back in
-that form. Lattice equality compares Hermite normal forms; one scan
-recognises a matrix already in that form. A determinant eliminates
-forward only. Ranks in this package never exceed 22. The product a b
-skips the zero entries of each row of a that is at least half zero, and
-a Hermite step those of a pivot row that is at least half zero.
+that form, a kernel from one pass over [a^T | I]. Lattice equality
+compares Hermite normal forms. A determinant eliminates forward only.
+Ranks in this package never exceed 22. The product a b skips the zero
+entries of each row of a that is at least half zero, and a Hermite step
+those of a pivot row that is at least half zero.
 """
 
 from __future__ import annotations
@@ -43,7 +43,10 @@ def check_rationals(what: str, *rows) -> None:
 
 
 def freeze(rows) -> Matrix:
-    return tuple(tuple(row) for row in rows)
+    try:
+        return tuple(tuple(row) for row in rows)
+    except TypeError:
+        raise DimensionMismatch("rows and vectors must be sequences") from None
 
 
 def identity(n: int) -> Matrix:
@@ -252,30 +255,22 @@ def _reduce(rows: list[list[int]], targets, prow: list[int], c: int) -> None:
 
 
 def hermite_normal_form(a: Matrix) -> Matrix:
-    """Row Hermite normal form of an integer matrix, a itself if already in
-    that form. Two matrices generate the same lattice exactly when their
-    forms agree (Cohen, Sec. 2.4.2)."""
-    if is_hermite_form(a):
-        return a
+    """Row Hermite normal form of an integer matrix, from one _hermite pass.
+    Two matrices generate the same lattice exactly when their forms agree
+    (Cohen, Sec. 2.4.2)."""
     return freeze(_hermite([list(row) for row in a], len(a[0]) if a else 0))
 
 
-def is_hermite_form(a: Matrix) -> bool:
-    """True when _hermite would leave a as is and a has no zero row: leading
-    columns increase, pivots are positive, entries above them in [0, pivot)."""
-    leads = [next((j for j, x in enumerate(row) if x), -1) for row in a]
-    return all(c > d and a[i][c] > 0 and all(0 <= a[k][c] < a[i][c] for k in range(i))
-               for i, (d, c) in enumerate(zip([-1] + leads, leads)))
-
-
 def integer_kernel(a: Matrix) -> Matrix:
-    """Basis (rows) of {v in Z^n : a v = 0}, in Hermite normal form; the
-    basis is saturated. It is read off the transform rows of the HNF of
-    [a^T | I] whose left part is zero (Cohen, Sec. 2.4.3)."""
+    """Basis (rows) of {v in Z^n : a v = 0}, saturated, in Hermite normal
+    form. One _hermite pass over all m + n columns of [a^T | I] ends in
+    the rows with zero left part (Cohen, Sec. 2.4.3); their right parts
+    are echelon, with positive pivots and reduced entries above them, so
+    by uniqueness they are already the kernel's HNF."""
     m, n = len(a), len(a[0]) if a else 0
     rows = _hermite([[row[j] for row in a] + [int(i == j) for i in range(n)]
-                     for j in range(n)], m)
-    return hermite_normal_form(freeze(row[m:] for row in rows if not any(row[:m])))
+                     for j in range(n)], m + n)
+    return freeze(row[m:] for row in rows if not any(row[:m]))
 
 
 def saturate(rows: Matrix, n: int) -> Matrix:

@@ -1,7 +1,7 @@
 """The Borcea-Voisin entry points refuse a value of the wrong kind with a
 K3BVError: the (N, N') formulas take only a BVData, a census only a
 sequence of FiberRecords, the elliptic factor only a pair (B2, omega2), and
-a tensor period only (key, coefficient) pairs with keys on
+a tensor period only (key, QC coefficient) pairs with keys on
 {E, E', m_0 .. m_{r-1}} x {s_x, s_y} and r an exact int >= 1."""
 
 import pytest
@@ -32,6 +32,8 @@ CASES = {
     "TensorPeriod float rank": lambda: TensorPeriod(ANCHOR, 2.0),
     "TensorPeriod bool rank": lambda: TensorPeriod(ANCHOR, True),
     "TensorPeriod non-pair component": lambda: TensorPeriod((5,), 2),
+    "TensorPeriod int coefficient": lambda: TensorPeriod(((("E'", "s_x"), 5),), 1),
+    "TensorPeriod str coefficient": lambda: TensorPeriod(((("E'", "s_x"), "1"),), 1),
 }
 
 

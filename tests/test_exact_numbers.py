@@ -73,6 +73,26 @@ def test_inexact_value_is_refused(name, value):
         call(value)
 
 
+# name -> a call that passes a non-sequence where rows or a vector go.
+NON_SEQUENCES = {
+    "IntegerLattice int": lambda: IntegerLattice(5),
+    "IntegerLattice int rows": lambda: IntegerLattice((1, 2)),
+    "Sublattice int rows": lambda: Sublattice(U, (1, 0)),
+    "LatticeInvolution": lambda: LatticeInvolution(U, 5),
+    "SymplecticSpace": lambda: SymplecticSpace(5),
+    "TubePoint B": lambda: TubePoint(FULL_U, 5, (1, 1)),
+    "PeriodVector re": lambda: PeriodVector(FULL_U, None, (1, 1)),
+    "coordinates_in": lambda: coordinates_in(FULL_U, None),
+    "pairing": lambda: pairing(U, 5, (1, 0)),
+}
+
+
+@pytest.mark.parametrize("name", NON_SEQUENCES)
+def test_non_sequence_is_refused(name):
+    with pytest.raises(DimensionMismatch, match="^rows and vectors must be sequences$"):
+        NON_SEQUENCES[name]()
+
+
 @pytest.mark.parametrize("name", BOUNDARIES)
 def test_exact_value_is_taken(name):
     call, message = BOUNDARIES[name]

@@ -448,11 +448,26 @@ class TestHermiteKernels:
     def test_integer_kernel(self, a):
         k = mo.integer_kernel(a)
         assert type(k) is tuple and all(type(row) is tuple for row in k)
-        assert mo.hermite_normal_form(k) is k
+        s = Sublattice(IntegerLattice(mo.identity(ncols(a))), k)
+        assert s._hnf is s.basis
         assert len(k) == ncols(a) - ref_rank(a)
         assert all(not any(mo.mat_vec(a, v)) for v in k)
         assert k == mo.hermite_normal_form(k)
         assert snf_is_trivial(k)
+
+    @given(matrices(entries=ints))
+    def test_one_pass_kernel_is_the_two_pass_form(self, a):
+        # The reference eliminates only the m columns of a^T and then takes
+        # the HNF of the kernel rows in a second pass; one pass over all
+        # m + n columns must give the same rows, by uniqueness of the HNF.
+        m, n = len(a), ncols(a)
+        rows = mo._hermite([[row[j] for row in a] + list(e)
+                            for j, e in enumerate(mo.identity(n))], m)
+        two_pass = mo.hermite_normal_form(tuple(tuple(row[m:]) for row in rows
+                                                if not any(row[:m])))
+        assert mo.integer_kernel(a) == two_pass
+        h = mo.hermite_normal_form(a)
+        assert mo.hermite_normal_form(h) == h
 
     @given(matrices(entries=ints), st.integers(1, 3))
     def test_saturate(self, a, c):
