@@ -2,20 +2,20 @@
 locus and the primed real-codimension-one slices.
 
 All vectors carry exact rational coordinates in the basis of the
-sublattice they live over; only rational points are representable.
+sublattice they live over; only rational points are representable. Each
+vector is cleared of denominators once and every form is summed over int.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
-from operator import mul
 from typing import Optional
 
 from . import matrixops as mo
 from .errors import DimensionMismatch, K3BVError
-from .lattice import Sublattice
-from .matrixops import Vector, check_rationals, clear_denominators
+from .lattice import Sublattice, cleared_forms
+from .matrixops import Vector, check_rationals
 from .mirror import MirrorSplit
 from .record import Record
 
@@ -31,14 +31,6 @@ def _check_coords(rank: int, v: Vector, what: str) -> Vector:
     return v
 
 
-def _form(sub: Sublattice, v: Vector, w: Vector) -> Fraction:
-    """v^T G w: evaluated over int, one Fraction at the end."""
-    nv, dv = clear_denominators(v)
-    nw, dw = clear_denominators(w)
-    total = sum(x * sum(map(mul, row, nw)) for x, row in zip(nv, sub.gram()) if x)
-    return Fraction(total, dv * dw)
-
-
 class TubePoint(Record):
     """B + i*omega over M or M-check, coordinates in the sublattice basis."""
 
@@ -51,14 +43,22 @@ class TubePoint(Record):
         object.__setattr__(self, "omega",
                            _check_coords(self.lattice.rank, self.omega, "omega"))
 
+    @cached_property
+    def cleared(self):
+        """((nb, db), (nw, dw), (bb, ww, bw)) of `cleared_forms` on B, omega."""
+        return cleared_forms(self.lattice.gram(), self.b, self.omega)
+
     def omega_sq(self) -> Fraction:
-        return _form(self.lattice, self.omega, self.omega)
+        _, (_, dw), (_, ww, _) = self.cleared
+        return Fraction(ww, dw * dw)
 
     def b_sq(self) -> Fraction:
-        return _form(self.lattice, self.b, self.b)
+        (_, db), _, (bb, _, _) = self.cleared
+        return Fraction(bb, db * db)
 
     def b_dot_omega(self) -> Fraction:
-        return _form(self.lattice, self.b, self.omega)
+        (_, db), (_, dw), (_, _, bw) = self.cleared
+        return Fraction(bw, db * dw)
 
 
 class PeriodVector(Record):
@@ -73,19 +73,18 @@ class PeriodVector(Record):
         object.__setattr__(self, "im", _check_coords(self.lattice.rank, self.im, "im"))
 
     @cached_property
-    def _quadrics(self) -> tuple[Fraction, Fraction, Fraction]:
-        """(re.re, im.im, re.im), computed once."""
-        return (_form(self.lattice, self.re, self.re), _form(self.lattice, self.im, self.im),
-                _form(self.lattice, self.re, self.im))
+    def cleared(self):
+        """((nr, dr), (ni, di), (rr, ii, ri)) of `cleared_forms` on re, im."""
+        return cleared_forms(self.lattice.gram(), self.re, self.im)
 
     def omega_dot_omega(self) -> tuple[Fraction, Fraction]:
         """Omega.Omega as (real, imaginary) parts."""
-        rr, ii, ri = self._quadrics
-        return rr - ii, 2 * ri
+        (_, dr), (_, di), (rr, ii, ri) = self.cleared
+        return Fraction(rr * di * di - ii * dr * dr, (dr * di) ** 2), Fraction(2 * ri, dr * di)
 
     def omega_dot_conjugate(self) -> Fraction:
-        rr, ii, _ = self._quadrics
-        return rr + ii
+        (_, dr), (_, di), (rr, ii, _) = self.cleared
+        return Fraction(rr * di * di + ii * dr * dr, (dr * di) ** 2)
 
 
 def in_tube(p: TubePoint) -> bool:
@@ -105,11 +104,10 @@ def in_delta(om: PeriodVector) -> tuple[bool, Optional[Vector]]:
     Decided by the integer kernel of the two rational linear conditions
     alpha.re = 0, alpha.im = 0 over T; returns a witness when nonempty.
     """
-    if all(x == 0 for x in om.re) and all(x == 0 for x in om.im):
+    (nr, _), (ni, _), _ = om.cleared
+    if not any(nr) and not any(ni):
         raise K3BVError("the zero vector is not a period")
-    gram = om.lattice.gram()
-    rows = tuple(clear_denominators(mo.mat_vec(gram, vec))[0] for vec in (om.re, om.im))
-    kernel = mo.integer_kernel(rows)
+    kernel = mo.integer_kernel(tuple(mo.mat_vec(om.lattice.gram(), n) for n in (nr, ni)))
     if kernel:
         return True, kernel[0]
     return False, None
@@ -123,8 +121,8 @@ def in_primed(point, split: MirrorSplit) -> bool:
     its E and E' coordinates vanish, i.e. when Im Omega.E' = Im Omega.E = 0.
     """
     if isinstance(point, TubePoint):
-        return point.b_dot_omega() == 0
+        return point.cleared[2][2] == 0
     if isinstance(point, PeriodVector):
-        a, b = split.split_coordinates(clear_denominators(point.im)[0])[:2]
+        a, b = split.split_coordinates(point.cleared[1][0])[:2]
         return a == b == 0
     raise K3BVError(f"expected TubePoint or PeriodVector, got {type(point).__name__}")

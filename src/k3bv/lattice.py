@@ -10,7 +10,9 @@ its coordinates read off pivot by pivot.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from math import gcd
+from operator import mul
 
 from . import matrixops as mo
 from .errors import DimensionMismatch, NotInLattice
@@ -21,6 +23,7 @@ __all__ = [
     "IntegerLattice",
     "Sublattice",
     "pairing",
+    "cleared_forms",
     "det_and_signature",
     "orthogonal_complement",
     "saturation",
@@ -113,11 +116,26 @@ class Sublattice(Record):
         return Sublattice(self.ambient, mo.mat_mul(inner.basis, self.basis))
 
 
+def _gram_dot(v: Vector, gram: Matrix, w: Vector) -> int:
+    """v^T G w for integer v and w over int, skipping the zero entries of v."""
+    return sum(x * sum(map(mul, row, w)) for x, row in zip(v, gram) if x)
+
+
 def pairing(lattice: IntegerLattice, v: Vector, w: Vector):
-    """Bilinear form v^T * gram * w. Exact; symmetric in v and w."""
-    v = lattice.check_vector(v)
-    w = lattice.check_vector(w)
-    return mo.dot(v, mo.mat_vec(lattice.gram, w))
+    """Bilinear form v^T * gram * w, exact and symmetric in v and w. Each vector
+    is cleared of denominators once and the form summed over int: an int when
+    both vectors are integral, one Fraction otherwise."""
+    (nv, dv), (nw, dw) = (mo.clear_denominators(lattice.check_vector(x)) for x in (v, w))
+    total = _gram_dot(nv, lattice.gram, nw)
+    return total if dv * dw == 1 else Fraction(total, dv * dw)
+
+
+def cleared_forms(gram: Matrix, v: Vector, w: Vector):
+    """((nv, dv), (nw, dw), (vv, ww, vw)) with v = nv / dv and w = nw / dw over
+    least denominators, each cleared once, and the forms v.v = vv / dv^2,
+    w.w = ww / dw^2 and v.w = vw / (dv dw) summed over int."""
+    (nv, _), (nw, _) = cleared = mo.clear_denominators(v), mo.clear_denominators(w)
+    return *cleared, (_gram_dot(nv, gram, nv), _gram_dot(nw, gram, nw), _gram_dot(nv, gram, nw))
 
 
 def det_and_signature(lattice: IntegerLattice) -> tuple[int, tuple[int, int, int]]:
@@ -220,15 +238,17 @@ def same_sublattice(a: Sublattice, b: Sublattice) -> bool:
 
 def divisibility(s: Sublattice, v: Vector) -> int:
     """gcd of pairings of v with a basis of S; v must be a nonzero vector of S."""
-    if all(x == 0 for x in v):
+    v = s.ambient.check_vector(v)
+    if not any(v):
         raise NotInLattice("divisibility of the zero vector is undefined")
     coordinates_in(s, v)  # membership check
-    return gcd(*(pairing(s.ambient, tuple(v), w) for w in s.basis))
+    return gcd(*(pairing(s.ambient, v, w) for w in s.basis))
 
 
 def is_primitive(s: Sublattice, v: Vector) -> bool:
     """True iff v is not a proper integer multiple of a vector of S."""
-    if all(x == 0 for x in v):
+    v = s.ambient.check_vector(v)
+    if not any(v):
         raise NotInLattice("primitivity of the zero vector is undefined")
     coords = coordinates_in(s, v)
     return mo.content(coords) == 1

@@ -27,27 +27,21 @@ def phi(split: MirrorSplit, p: TubePoint) -> PeriodVector:
     """Mirror map: tube point over M-check to period vector over T."""
     if p.lattice != split.m_check:
         raise K3BVError("tube point must live over the M-check of the split")
-    w_sq = p.omega_sq()
-    if w_sq <= 0:
+    # B = nb / db, omega = nw / dw, and bb, ww, bw the integer forms.
+    (nb, db), (nw, dw), (bb, ww, bw) = p.cleared
+    if ww <= 0:
         raise K3BVError("point is not in the tube domain: omega.omega <= 0")
     m = split.m
     e, ep = split.pair.e, split.pair.e_prime
-    # Coordinates of B and omega inside T, over int: B = nb / db.
-    nb, db = mo.clear_denominators(p.b)
-    nw, dw = mo.clear_denominators(p.omega)
     b_t = mo.vec_mat(nb, split.m_check.basis)
     w_t = mo.vec_mat(nw, split.m_check.basis)
-    b_sq = p.b_sq()
-    wb = p.b_dot_omega()
-    # re = b_t / db + E' / m + q E and im = w_t / dw - wb E, each over
-    # one common denominator d.
-    q = (w_sq - b_sq) / 2
+    # re = b_t / db + E' / m + q E over one common denominator d, and
+    # im = w_t / dw - (B.omega) E = (db w_t - bw E) / (db dw).
+    q = Fraction(ww * db * db - bb * dw * dw, 2 * (db * dw) ** 2)
     d = lcm(db, m, q.denominator)
     cb, cep, ce = d // db, d // m, q.numerator * (d // q.denominator)
     re = tuple(Fraction(cb * x + cep * y + ce * z, d) for x, y, z in zip(b_t, ep, e))
-    d = lcm(dw, wb.denominator)
-    cw, ce = d // dw, wb.numerator * (d // wb.denominator)
-    im = tuple(Fraction(cw * x - ce * z, d) for x, z in zip(w_t, e))
+    im = tuple(Fraction(db * x - bw * z, db * dw) for x, z in zip(w_t, e))
     return PeriodVector(split.t, re, im)
 
 
@@ -59,14 +53,14 @@ def phi_inverse(split: MirrorSplit, om: PeriodVector) -> TubePoint:
     """
     if om.lattice != split.t:
         raise K3BVError("period vector must live over the T of the split")
-    # Omega = (x + i y) / d in the basis (E, E', M-check) of T; the common
-    # denominator d cancels in the normalization below.
-    num, _ = mo.clear_denominators(om.re + om.im)
-    rank = split.t.rank
-    x = split.split_coordinates(num[:rank])
-    y = split.split_coordinates(num[rank:])
+    # re = nr / dr and im = ni / di, so Omega = (x + i y) / (dr di) in the
+    # basis (E, E', M-check) of T, with x the coordinates of di nr and y
+    # those of dr ni; the factor dr di cancels in the normalization below.
+    (nr, dr), (ni, di), _ = om.cleared
+    x = tuple(di * c for c in split.split_coordinates(nr))
+    y = tuple(dr * c for c in split.split_coordinates(ni))
     # E.E = 0, E'.E = m and M-check is orthogonal to E, so
-    # Omega.E = m (a + i b) / d with a + i b the E' coordinate.
+    # Omega.E = m (a + i b) / (dr di) with a + i b the E' coordinate.
     a, b = x[1], y[1]
     if a == 0 and b == 0:
         raise NormalizationError(

@@ -10,7 +10,7 @@ from k3bv import (IntegerLattice, K3BVError, PeriodVector, Sublattice, TubePoint
                   check_admissible, construct_mirror, in_delta, in_period_domain,
                   in_primed, in_tube, pairing, phi)
 from k3bv import matrixops as mo
-from k3bv.domains import _form
+from k3bv.lattice import cleared_forms
 
 
 @pytest.fixture
@@ -125,8 +125,28 @@ def _reference(sub, v, w):
 @given(lattice_and_vectors(2))
 def test_form_matches_fraction_reference(case):
     sub, v, w = case
-    assert _form(sub, v, w) == _reference(sub, v, w)
-    assert _form(sub, v, tuple(0 for _ in v)) == 0
+    (nv, dv), (nw, dw), (vv, ww, vw) = cleared_forms(sub.gram(), v, w)
+    assert (nv, dv) == mo.clear_denominators(v) and (nw, dw) == mo.clear_denominators(w)
+    assert Fraction(vv, dv * dv) == _reference(sub, v, v)
+    assert Fraction(ww, dw * dw) == _reference(sub, w, w)
+    assert Fraction(vw, dv * dw) == _reference(sub, v, w)
+    assert cleared_forms(sub.gram(), v, tuple(0 for _ in v))[2][1:] == (0, 0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(lattice_and_vectors(2))
+def test_pairing_and_tube_forms_match_fraction_reference(case):
+    sub, v, w = case
+    lattice = sub.induced_lattice()
+    value = pairing(lattice, v, w)
+    assert value == _reference(sub, v, w)
+    assert (type(value) is int) == all(x.denominator == 1 for x in v + w)
+    as_ints = tuple(tuple(x.numerator for x in u) for u in (v, w))
+    assert type(pairing(lattice, *as_ints)) is int
+    p = TubePoint(sub, v, w)
+    assert p.b_sq() == _reference(sub, v, v)
+    assert p.omega_sq() == _reference(sub, w, w)
+    assert p.b_dot_omega() == _reference(sub, v, w)
 
 
 @settings(max_examples=100, deadline=None)
@@ -148,5 +168,6 @@ def test_clear_denominators():
 def test_form_on_rank_zero_m_check(U):
     split = construct_mirror(check_admissible(Sublattice.full(U), (1, 0), (0, 1), 1))
     assert split.m_check.rank == 0
-    assert _form(split.m_check, (), ()) == 0
+    assert cleared_forms(split.m_check.gram(), (), ()) == (((), 1), ((), 1), (0, 0, 0))
+    assert pairing(split.m_check.induced_lattice(), (), ()) == 0
     assert TubePoint(split.m_check, (), ()).omega_sq() == 0

@@ -9,7 +9,8 @@ import pytest
 from k3bv import (BasePoint, BVData, DimensionMismatch, IntegerLattice,
                   LatticeInvolution, PeriodVector, Sublattice, SymplecticSpace,
                   TubePoint, UnitPhase, bv_mirror_period, bv_table, check_admissible,
-                  coordinates_in, hyperbolic_plane, pairing, phase_rotate,
+                  coordinates_in, divisibility, hyperbolic_plane, is_primitive,
+                  pairing, phase_rotate,
                   rotation_table, transpose_defect, y_betti)
 from k3bv import matrixops as mo
 from k3bv.cnum import QC
@@ -84,6 +85,8 @@ NON_SEQUENCES = {
     "PeriodVector re": lambda: PeriodVector(FULL_U, None, (1, 1)),
     "coordinates_in": lambda: coordinates_in(FULL_U, None),
     "pairing": lambda: pairing(U, 5, (1, 0)),
+    "divisibility": lambda: divisibility(FULL_U, None),
+    "is_primitive": lambda: is_primitive(FULL_U, 5),
 }
 
 

@@ -469,6 +469,12 @@ class TestDivisibilityPrimitivity:
     def test_divisibility_doubled(self, U):
         assert divisibility(Sublattice.full(U), (2, 0)) == 2
 
+    def test_integral_fraction_entries(self, U):
+        # Integral Fractions pair to ints, so the gcd takes them.
+        full = Sublattice.full(U)
+        assert divisibility(full, (Fraction(2), Fraction(0))) == 2
+        assert not is_primitive(full, (Fraction(2), 0))
+
     @pytest.mark.parametrize("v", [(1.0, 0), (0, 0.5), (2, float("nan"))])
     def test_float_entries_rejected(self, UU, v):
         s = Sublattice(UU, ((1, 0, 0, 0), (0, 1, 0, 0)))

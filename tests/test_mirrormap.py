@@ -11,6 +11,7 @@ from k3bv import (K3BVError, NormalizationError, PeriodVector, QC, Sublattice,
                   TubePoint, bv_mirror_period, check_admissible, construct_mirror,
                   coordinates_in, direct_sum, hyperbolic_plane, in_primed, in_tube,
                   k3_lattice, orthogonal_complement, phi, phi_inverse)
+from k3bv import domains, lattice, mirrormap
 from k3bv import matrixops as mo
 
 
@@ -83,6 +84,42 @@ class TestPhiInverse:
         p = TubePoint(u2_split.m_check, (2, Fraction(-1, 2)), (1, 3))
         back = phi_inverse(u2_split, phi(u2_split, p))
         assert back.b == p.b and back.omega == p.omega
+
+    def test_round_trips_with_unequal_re_and_im_denominators(self, u2_split, k3_split):
+        # phi_inverse scales the re and im numerators by each other's
+        # denominator; here re and im are cleared by different ones.
+        rest = (0,) * 16
+        for split, b, omega, denominators in (
+                (u2_split, (Fraction(1, 3), 0), (1, 1), (6, 3)),
+                (k3_split[2], (Fraction(1, 3), 0) + rest, (Fraction(1, 2), 2) + rest, (3, 6))):
+            p = TubePoint(split.m_check, b, omega)
+            om = phi(split, p)
+            assert (om.cleared[0][1], om.cleared[1][1]) == denominators
+            assert phi_inverse(split, om) == p
+
+
+def test_round_trip_clears_each_vector_once(monkeypatch, k3_split):
+    """phi -> quadrics -> phi_inverse -> in_primed on both sides clears
+    B, omega, re and im of denominators once each."""
+    calls = []
+    original = mo.clear_denominators
+
+    def counting(v):
+        calls.append(v)
+        return original(v)
+
+    for module in (mo, domains, mirrormap, lattice):
+        if hasattr(module, "clear_denominators"):
+            monkeypatch.setattr(module, "clear_denominators", counting)
+    split = k3_split[2]
+    rest = (0,) * 16
+    p = TubePoint(split.m_check, (Fraction(1, 3), Fraction(-1, 2)) + rest, (1, 2) + rest)
+    om = phi(split, p)
+    assert om.omega_dot_omega() == (0, 0)
+    assert om.omega_dot_conjugate() == 2 * p.omega_sq()
+    assert phi_inverse(split, om) == p
+    assert in_primed(p, split) == in_primed(om, split) == (p.b_dot_omega() == 0)
+    assert len(calls) <= 4
 
 
 class TestEllipticPhi:
