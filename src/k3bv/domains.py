@@ -14,7 +14,7 @@ from typing import Optional
 
 from . import matrixops as mo
 from .errors import DimensionMismatch, K3BVError
-from .lattice import Sublattice, cleared_forms
+from .lattice import Sublattice, _cleared_forms
 from .matrixops import Vector, check_rationals
 from .mirror import MirrorSplit
 from .record import Record
@@ -45,8 +45,8 @@ class TubePoint(Record):
 
     @cached_property
     def cleared(self):
-        """((nb, db), (nw, dw), (bb, ww, bw)) of `cleared_forms` on B, omega."""
-        return cleared_forms(self.lattice.gram(), self.b, self.omega)
+        """((nb, db), (nw, dw), (bb, ww, bw)) of `_cleared_forms` on B, omega."""
+        return _cleared_forms(self.lattice.gram(), self.b, self.omega)
 
     def omega_sq(self) -> Fraction:
         _, (_, dw), (_, ww, _) = self.cleared
@@ -74,8 +74,8 @@ class PeriodVector(Record):
 
     @cached_property
     def cleared(self):
-        """((nr, dr), (ni, di), (rr, ii, ri)) of `cleared_forms` on re, im."""
-        return cleared_forms(self.lattice.gram(), self.re, self.im)
+        """((nr, dr), (ni, di), (rr, ii, ri)) of `_cleared_forms` on re, im."""
+        return _cleared_forms(self.lattice.gram(), self.re, self.im)
 
     def omega_dot_omega(self) -> tuple[Fraction, Fraction]:
         """Omega.Omega as (real, imaginary) parts."""

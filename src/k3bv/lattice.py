@@ -23,7 +23,6 @@ __all__ = [
     "IntegerLattice",
     "Sublattice",
     "pairing",
-    "cleared_forms",
     "det_and_signature",
     "orthogonal_complement",
     "saturation",
@@ -130,7 +129,7 @@ def pairing(lattice: IntegerLattice, v: Vector, w: Vector):
     return total if dv * dw == 1 else Fraction(total, dv * dw)
 
 
-def cleared_forms(gram: Matrix, v: Vector, w: Vector):
+def _cleared_forms(gram: Matrix, v: Vector, w: Vector):
     """((nv, dv), (nw, dw), (vv, ww, vw)) with v = nv / dv and w = nw / dw over
     least denominators, each cleared once, and the forms v.v = vv / dv^2,
     w.w = ww / dw^2 and v.w = vw / (dv dw) summed over int."""
