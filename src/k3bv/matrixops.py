@@ -13,7 +13,8 @@ that form, a kernel from one pass over [a^T | I]. Lattice equality
 compares Hermite normal forms. A determinant eliminates forward only.
 Ranks in this package never exceed 22. The product a b skips the zero
 entries of each row of a that is at least half zero, and a Hermite step
-those of a pivot row that is at least half zero.
+those of a pivot row that is at least half zero; nonzeros lists each row
+of a matrix applied many times as (index, entry) pairs.
 """
 
 from __future__ import annotations
@@ -90,6 +91,11 @@ def mat_vec(a: Matrix, v: Vector) -> Vector:
 
 def vec_mat(v: Vector, a: Matrix) -> Vector:
     return mat_vec(transpose(a), v)
+
+
+def nonzeros(a: Matrix) -> tuple[tuple[tuple[int, object], ...], ...]:
+    """Each row of a as the (index, entry) pairs of its nonzero entries."""
+    return tuple(tuple((k, x) for k, x in enumerate(row) if x) for row in a)
 
 
 def dot(v: Vector, w: Vector) -> object:

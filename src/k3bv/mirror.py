@@ -11,12 +11,11 @@ in T, and every split T = P + M-check is certified to have index one.
 from __future__ import annotations
 
 from functools import cached_property
-from operator import mul
 
 from . import matrixops as mo
-from .errors import AdmissibilityError, NotInLattice, SplittingError
+from .errors import AdmissibilityError, DimensionMismatch, NotInLattice, SplittingError
 from .lattice import IntegerLattice, Sublattice, orthogonal_complement
-from .matrixops import Matrix, Vector
+from .matrixops import Vector
 from .record import Record
 
 __all__ = ["AdmissiblePair", "MirrorSplit", "check_admissible", "construct_mirror"]
@@ -36,6 +35,8 @@ class MirrorSplit(Record):
 
     p and m_check are sublattices of the induced lattice of T (i.e. their
     generators are written in T coordinates). section_class is E' - E.
+    The mirror map's fixed matrices, the M-check basis and the inverse of
+    (E, E', M-check), are kept by their nonzeros, each built on first use.
     """
 
     pair: AdmissiblePair
@@ -52,20 +53,31 @@ class MirrorSplit(Record):
         return self.pair.m
 
     @cached_property
-    def _inverse_columns(self) -> Matrix:
-        """Columns of the inverse of the basis (E, E', M-check) of T.
-
-        construct_mirror certified |det(E, E', M-check)| = 1, so this
-        basis is unimodular and its inverse is integral. Computed on first
-        use, so building a split does not pay for it.
-        """
+    def _inverse_columns(self):
+        """Nonzeros of the columns of the inverse of the basis (E, E', M-check)
+        of T, integral as construct_mirror certified its determinant is +-1."""
         basis = (self.pair.e, self.pair.e_prime) + self.m_check.basis
-        return mo.transpose(mo.integer_inverse(basis))
+        return mo.nonzeros(mo.transpose(mo.integer_inverse(basis)))
+
+    @cached_property
+    def _m_check_rows(self):
+        """Nonzeros of the rows of the M-check basis."""
+        return mo.nonzeros(self.m_check.basis)
 
     def split_coordinates(self, v: Vector) -> tuple[int, ...]:
         """(a, b, c_1, ..., c_r) with v = aE + bE' + sum c_i M_i, for an
         integer vector v in T coordinates."""
-        return tuple(sum(map(mul, v, col)) for col in self._inverse_columns)
+        if len(v) != self.t.rank:
+            raise DimensionMismatch(f"vector has length {len(v)}, rank T is {self.t.rank}")
+        return tuple(sum(v[k] * x for k, x in col) for col in self._inverse_columns)
+
+    def _from_m_check(self, c: Vector) -> list[int]:
+        """sum c_i M_i in T coordinates, for integer M-check coordinates c."""
+        out = [0] * self.t.rank
+        for ck, row in zip(c, self._m_check_rows):
+            for k, y in row:
+                out[k] += ck * y
+        return out
 
 
 def check_admissible(t: Sublattice, e: Vector, e_prime: Vector, m: int) -> AdmissiblePair:

@@ -15,7 +15,6 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm
 
-from . import matrixops as mo
 from .domains import PeriodVector, TubePoint, in_period_domain
 from .errors import K3BVError, NormalizationError
 from .mirror import MirrorSplit
@@ -33,8 +32,7 @@ def phi(split: MirrorSplit, p: TubePoint) -> PeriodVector:
         raise K3BVError("point is not in the tube domain: omega.omega <= 0")
     m = split.m
     e, ep = split.pair.e, split.pair.e_prime
-    b_t = mo.vec_mat(nb, split.m_check.basis)
-    w_t = mo.vec_mat(nw, split.m_check.basis)
+    b_t, w_t = split._from_m_check(nb), split._from_m_check(nw)
     # re = b_t / db + E' / m + q E over one common denominator d, and
     # im = w_t / dw - (B.omega) E = (db w_t - bw E) / (db dw).
     q = Fraction(ww * db * db - bb * dw * dw, 2 * (db * dw) ** 2)

@@ -1,17 +1,19 @@
 """The explicit mirror map, its inverse, and the elliptic case through the
 Borcea-Voisin mirror period."""
 
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from k3bv import (K3BVError, NormalizationError, PeriodVector, QC, Sublattice,
+from k3bv import (DimensionMismatch, K3BVError, NormalizationError, PeriodVector, QC, Sublattice,
                   TubePoint, bv_mirror_period, check_admissible, construct_mirror,
                   coordinates_in, direct_sum, hyperbolic_plane, in_primed, in_tube,
                   k3_lattice, orthogonal_complement, phi, phi_inverse)
 from k3bv import domains, lattice, mirrormap
+from k3bv.verify import _k3_setup
 from k3bv import matrixops as mo
 
 
@@ -120,6 +122,32 @@ def test_round_trip_clears_each_vector_once(monkeypatch, k3_split):
     assert phi_inverse(split, om) == p
     assert in_primed(p, split) == in_primed(om, split) == (p.b_dot_omega() == 0)
     assert len(calls) <= 4
+
+
+@pytest.mark.parametrize("length", [5, 25])
+def test_split_coordinates_rejects_a_vector_of_the_wrong_length(k3_split, length):
+    with pytest.raises(DimensionMismatch, match=f"length {length}, rank T is 20"):
+        k3_split[2].split_coordinates((1,) * length)
+
+
+def test_split_views_are_lazy_and_built_once(monkeypatch):
+    """construct_mirror builds neither nonzero view of the split; the mirror
+    map builds each once, with one integer inverse."""
+    calls = Counter()
+    for name in ("integer_inverse", "nonzeros"):
+        def counting(a, name=name, original=getattr(mo, name)):
+            calls[name] += 1
+            return original(a)
+        monkeypatch.setattr(mo, name, counting)
+    split = _k3_setup()[3]
+    assert not calls and "_inverse_columns" not in vars(split) and "_m_check_rows" not in vars(split)
+    rest = (0,) * 16
+    for b in ((Fraction(1, 3), 0) + rest, (0, 1) + rest, (0, 0) + rest):
+        p = TubePoint(split.m_check, b, (1, 2) + rest)
+        om = phi(split, p)
+        assert phi_inverse(split, om) == p
+        assert in_primed(p, split) == in_primed(om, split) == (p.b_dot_omega() == 0)
+    assert calls == {"integer_inverse": 1, "nonzeros": 2}
 
 
 class TestEllipticPhi:
@@ -240,3 +268,39 @@ def test_round_trip_and_primed_on_skewed_splits(skewed, data):
     assert om.omega_dot_conjugate() == 2 * p.omega_sq()
     assert phi_inverse(split, om) == p
     assert in_primed(p, split) == in_primed(om, split) == (p.b_dot_omega() == 0)
+
+
+# --- the split's nonzero views against dense products -----------------------
+
+@pytest.fixture(scope="module", params=["catalog", "k3", "u2"])
+def any_split(request):
+    if request.param == "catalog":
+        split = _k3_setup()[3]
+        return split, (1, 1) + (0,) * 16
+    return {"k3": _skewed_k3_split, "u2": _skewed_u2_split}[request.param]()
+
+
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_from_m_check_matches_the_dense_product(any_split, data):
+    split, _ = any_split
+    c = data.draw(st.lists(st.integers(-50, 50), min_size=split.m_check.rank,
+                           max_size=split.m_check.rank))
+    assert tuple(split._from_m_check(c)) == mo.vec_mat(c, split.m_check.basis)
+
+
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_phi_matches_its_defining_formula(any_split, data):
+    """re = B + E'/m + ((omega.omega - B.B)/2) E and im = omega - (omega.B) E,
+    with B and omega in T coordinates by the dense product."""
+    split, positive = any_split
+    p = data.draw(tube_points(split, positive))
+    lat, e = split.t.induced_lattice(), split.pair.e
+    b, w = (mo.vec_mat(v, split.m_check.basis) for v in (p.b, p.omega))
+    q = Fraction(lattice.pairing(lat, w, w) - lattice.pairing(lat, b, b), 2)
+    re = mo.add_vec(mo.add_vec(b, mo.scale_vec(Fraction(1, split.m), split.pair.e_prime)),
+                    mo.scale_vec(q, e))
+    im = mo.sub_vec(w, mo.scale_vec(lattice.pairing(lat, w, b), e))
+    om = phi(split, p)
+    assert om.re == re and om.im == im
