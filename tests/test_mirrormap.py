@@ -8,13 +8,13 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from k3bv import (DimensionMismatch, K3BVError, NormalizationError, PeriodVector, QC, Sublattice,
-                  TubePoint, bv_mirror_period, check_admissible, construct_mirror,
-                  coordinates_in, direct_sum, hyperbolic_plane, in_primed, in_tube,
-                  k3_lattice, orthogonal_complement, phi, phi_inverse)
+from k3bv import (DimensionMismatch, K3BVError, NormalizationError, PeriodVector, QC,
+                  Sublattice, TubePoint, bv_mirror_period, check_admissible,
+                  construct_mirror, coordinates_in, direct_sum, hyperbolic_plane, in_primed,
+                  in_tube, k3_lattice, orthogonal_complement, phi, phi_inverse)
 from k3bv import domains, lattice, mirrormap
-from k3bv.verify import _k3_setup
 from k3bv import matrixops as mo
+from k3bv.verify import _k3_setup
 
 
 @pytest.fixture(scope="module")
@@ -140,7 +140,7 @@ def test_split_views_are_lazy_and_built_once(monkeypatch):
             return original(a)
         monkeypatch.setattr(mo, name, counting)
     split = _k3_setup()[3]
-    assert not calls and "_inverse_columns" not in vars(split) and "_m_check_rows" not in vars(split)
+    assert not calls and not {"_inverse_columns", "_m_check_rows"} & vars(split).keys()
     rest = (0,) * 16
     for b in ((Fraction(1, 3), 0) + rest, (0, 1) + rest, (0, 0) + rest):
         p = TubePoint(split.m_check, b, (1, 2) + rest)
@@ -273,10 +273,9 @@ def test_round_trip_and_primed_on_skewed_splits(skewed, data):
 # --- the split's nonzero views against dense products -----------------------
 
 @pytest.fixture(scope="module", params=["catalog", "k3", "u2"])
-def any_split(request):
+def any_split(request, k3_split):
     if request.param == "catalog":
-        split = _k3_setup()[3]
-        return split, (1, 1) + (0,) * 16
+        return k3_split[2], (1, 1) + (0,) * 16
     return {"k3": _skewed_k3_split, "u2": _skewed_u2_split}[request.param]()
 
 
