@@ -17,8 +17,8 @@ from .census import census_slack, dualize_census, total_euler
 from .domains import TubePoint, PeriodVector
 from .errors import K3BVError
 from .hyperkahler import rotation_table
-from .jsonio import (census_from_json, census_to_json, dumps, int_from_json,
-                     lattice_from_json, load_json_arg, parse_coords,
+from .jsonio import (census_from_json, census_to_json, cleared_to_json, dumps,
+                     int_from_json, lattice_from_json, load_json_arg, parse_coords,
                      split_from_json, split_to_json, sublattice_from_json)
 from .lattice import Sublattice, det_and_signature
 from .leray import bv_mirror_period, bv_table
@@ -47,7 +47,8 @@ def _cmd_mirror_phi(args) -> dict:
     p = TubePoint(split.m_check, parse_coords(args.b), parse_coords(args.omega))
     om = phi(split, p)
     real, imag = om.omega_dot_omega()
-    return {"re": om.re, "im": om.im, "report": {
+    re, im = map(cleared_to_json, om.cleared)
+    return {"re": re, "im": im, "report": {
         "omega_dot_omega": [real, imag],
         "omega_dot_conjugate": om.omega_dot_conjugate(),
         "two_omega_sq": 2 * p.omega_sq(),
@@ -58,8 +59,8 @@ def _cmd_mirror_phi(args) -> dict:
 def _cmd_mirror_phi_inverse(args) -> dict:
     split = split_from_json(load_json_arg(args.split))
     om = PeriodVector(split.t, parse_coords(args.re), parse_coords(args.im))
-    p = phi_inverse(split, om)
-    return {"b": p.b, "omega": p.omega}
+    b, omega = map(cleared_to_json, phi_inverse(split, om).cleared)
+    return {"b": b, "omega": omega}
 
 
 def _cmd_hk_table(args) -> dict:

@@ -3,19 +3,21 @@ locus and the primed real-codimension-one slices.
 
 All vectors carry exact rational coordinates in the basis of the
 sublattice they live over; only rational points are representable. Each
-vector is cleared of denominators once and every form is summed over int.
+is held as integer numerators over one least denominator, every form is
+summed over int, and Fraction coordinates are views built on first read.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
+from math import gcd
 from typing import Optional
 
 from . import matrixops as mo
 from .errors import DimensionMismatch, K3BVError
-from .lattice import Sublattice, _cleared_forms
-from .matrixops import Vector, check_rationals
+from .lattice import Sublattice, _gram_dot
+from .matrixops import Vector, check_integers, check_rationals
 from .mirror import MirrorSplit
 from .record import Record
 
@@ -23,67 +25,97 @@ __all__ = ["TubePoint", "PeriodVector", "in_tube", "in_period_domain",
            "in_delta", "in_primed"]
 
 
-def _check_coords(rank: int, v: Vector, what: str) -> Vector:
-    (v,) = mo.freeze((v,))
+def _check_length(rank: int, v, label: str) -> None:
     if len(v) != rank:
-        raise DimensionMismatch(f"{what} has length {len(v)}, lattice rank is {rank}")
-    check_rationals(f"{what} coordinates", v)
-    return v
+        raise DimensionMismatch(f"{label} has length {len(v)}, lattice rank is {rank}")
 
 
-class TubePoint(Record):
-    """B + i*omega over M or M-check, coordinates in the sublattice basis."""
+class _TwoVectors(Record):
+    """A lattice and two rational vectors: the last two fields, named by
+    `_labels` in messages. Both constructors set `cleared`, each vector as
+    (int numerators, least denominator d > 0); equality and hashing compare
+    it. The fields are Fraction views of it: the public constructor keeps the
+    vectors it is given, and `_from_cleared` leaves each to its first read."""
+
+    def __post_init__(self):
+        cleared = []
+        for name, label in zip(self._fields[1:], self._labels):
+            (v,) = mo.freeze((self.__dict__[name],))
+            _check_length(self.lattice.rank, v, label)
+            check_rationals(f"{label} coordinates", v)
+            self.__dict__[name] = v
+            cleared.append(mo.clear_denominators(v))
+        self.__dict__["cleared"] = tuple(cleared)
+
+    @classmethod
+    def _from_cleared(cls, lattice: Sublattice, *cleared):
+        """The record of n / d for each (n, d) in `cleared`, with int n and
+        d > 0, each pair divided by gcd(d, *n)."""
+        pairs = []
+        for (n, d), label in zip(cleared, cls._labels):
+            _check_length(lattice.rank, n, label)
+            check_integers(f"{label} numerators", n)
+            g = gcd(d, *n)
+            pairs.append((tuple(x // g for x in n), d // g))
+        self = object.__new__(cls)
+        self.__dict__.update(lattice=lattice, cleared=tuple(pairs))
+        return self
+
+    @cached_property
+    def forms(self) -> tuple[int, int, int]:
+        """(n1.n1, n2.n2, n1.n2) for the cleared (n1, d1), (n2, d2), over int."""
+        (n1, _), (n2, _) = self.cleared
+        gram = self.lattice.gram()
+        return _gram_dot(n1, gram, n1), _gram_dot(n2, gram, n2), _gram_dot(n1, gram, n2)
+
+    def __getattr__(self, name):
+        # Only names missing from __dict__, as the views of _from_cleared are.
+        if name not in self._fields[1:]:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        n, d = self.cleared[self._fields.index(name) - 1]
+        view = self.__dict__[name] = tuple(map(Fraction, n) if d == 1 else
+                                           (Fraction(x, d) for x in n))
+        return view
+
+    def _values(self) -> tuple:
+        return self.lattice, self.cleared
+
+
+class TubePoint(_TwoVectors):
+    """B + i*omega over M or M-check, coordinates in the sublattice basis,
+    held as `cleared`; `b` and `omega` are its Fraction views."""
 
     lattice: Sublattice
     b: Vector
     omega: Vector
-
-    def __post_init__(self):
-        object.__setattr__(self, "b", _check_coords(self.lattice.rank, self.b, "B"))
-        object.__setattr__(self, "omega",
-                           _check_coords(self.lattice.rank, self.omega, "omega"))
-
-    @cached_property
-    def cleared(self):
-        """((nb, db), (nw, dw), (bb, ww, bw)) of `_cleared_forms` on B, omega."""
-        return _cleared_forms(self.lattice.gram(), self.b, self.omega)
+    _labels = ("B", "omega")
 
     def omega_sq(self) -> Fraction:
-        _, (_, dw), (_, ww, _) = self.cleared
-        return Fraction(ww, dw * dw)
+        return Fraction(self.forms[1], self.cleared[1][1] ** 2)
 
     def b_sq(self) -> Fraction:
-        (_, db), _, (bb, _, _) = self.cleared
-        return Fraction(bb, db * db)
+        return Fraction(self.forms[0], self.cleared[0][1] ** 2)
 
     def b_dot_omega(self) -> Fraction:
-        (_, db), (_, dw), (_, _, bw) = self.cleared
-        return Fraction(bw, db * dw)
+        return Fraction(self.forms[2], self.cleared[0][1] * self.cleared[1][1])
 
 
-class PeriodVector(Record):
-    """Omega = re + i*im over the transcendental lattice T."""
+class PeriodVector(_TwoVectors):
+    """Omega = re + i*im over the transcendental lattice T, held as
+    `cleared`; `re` and `im` are its Fraction views."""
 
     lattice: Sublattice
     re: Vector
     im: Vector
-
-    def __post_init__(self):
-        object.__setattr__(self, "re", _check_coords(self.lattice.rank, self.re, "re"))
-        object.__setattr__(self, "im", _check_coords(self.lattice.rank, self.im, "im"))
-
-    @cached_property
-    def cleared(self):
-        """((nr, dr), (ni, di), (rr, ii, ri)) of `_cleared_forms` on re, im."""
-        return _cleared_forms(self.lattice.gram(), self.re, self.im)
+    _labels = ("re", "im")
 
     def omega_dot_omega(self) -> tuple[Fraction, Fraction]:
         """Omega.Omega as (real, imaginary) parts."""
-        (_, dr), (_, di), (rr, ii, ri) = self.cleared
+        (rr, ii, ri), ((_, dr), (_, di)) = self.forms, self.cleared
         return Fraction(rr * di * di - ii * dr * dr, (dr * di) ** 2), Fraction(2 * ri, dr * di)
 
     def omega_dot_conjugate(self) -> Fraction:
-        (_, dr), (_, di), (rr, ii, _) = self.cleared
+        (rr, ii, _), ((_, dr), (_, di)) = self.forms, self.cleared
         return Fraction(rr * di * di + ii * dr * dr, (dr * di) ** 2)
 
 
@@ -104,7 +136,7 @@ def in_delta(om: PeriodVector) -> tuple[bool, Optional[Vector]]:
     Decided by the integer kernel of the two rational linear conditions
     alpha.re = 0, alpha.im = 0 over T; returns a witness when nonempty.
     """
-    (nr, _), (ni, _), _ = om.cleared
+    (nr, _), (ni, _) = om.cleared
     if not any(nr) and not any(ni):
         raise K3BVError("the zero vector is not a period")
     kernel = mo.integer_kernel(tuple(mo.mat_vec(om.lattice.gram(), n) for n in (nr, ni)))
@@ -121,8 +153,7 @@ def in_primed(point, split: MirrorSplit) -> bool:
     its E and E' coordinates vanish, i.e. when Im Omega.E' = Im Omega.E = 0.
     """
     if isinstance(point, TubePoint):
-        return point.cleared[2][2] == 0
+        return point.forms[2] == 0
     if isinstance(point, PeriodVector):
-        a, b = split.split_coordinates(point.cleared[1][0])[:2]
-        return a == b == 0
+        return not any(split.split_coordinates(point.cleared[1][0], 2))
     raise K3BVError(f"expected TubePoint or PeriodVector, got {type(point).__name__}")

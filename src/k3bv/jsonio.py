@@ -2,9 +2,10 @@
 that turns text into exact values and back.
 
 Rationals travel as strings "p/q" in lowest terms with q > 0 (or "p"
-when integral), as `dumps` writes every Fraction; integer arrays are
-row-major. Number text is read by `rational_from_str` alone, which takes
-only "p" or "p/q": ASCII digits, an optional leading "-" and q not zero.
+when integral), as `dumps` writes every Fraction and `cleared_to_json`
+each of n / d; integer arrays are row-major. Number text is read by
+`rational_from_str` alone, which takes only "p" or "p/q": ASCII digits,
+an optional leading "-" and q not zero.
 Catalog names ("K3", "E8-", "U", "U:m") are accepted anywhere a lattice
 object is. A reader passes on a K3BVError unchanged.
 """
@@ -15,6 +16,7 @@ import json
 import os
 import re
 from fractions import Fraction
+from math import gcd
 
 from .bv import BVData
 from .catalog import e8_minus, hyperbolic_plane, k3_lattice
@@ -30,7 +32,7 @@ __all__ = [
     "sublattice_to_json", "sublattice_from_json",
     "split_to_json", "split_from_json",
     "involution_from_json", "census_to_json", "census_from_json",
-    "load_json_arg", "dumps",
+    "load_json_arg", "cleared_to_json", "dumps",
 ]
 
 _RATIONAL = re.compile(r"-?[0-9]+(/0*[1-9][0-9]*)?")
@@ -193,6 +195,13 @@ def load_json_arg(value: str):
     except (OSError, ValueError) as exc:
         raise K3BVError(f"cannot read JSON argument: {exc}") from None
     return v
+
+
+def cleared_to_json(cleared) -> list[str]:
+    """The "p/q" text of each n_i / d for (n, d) = cleared, d > 0, as `dumps`
+    writes its Fraction, built without one."""
+    n, d = cleared
+    return [str(x // d) if (g := gcd(x, d)) == d else f"{x // g}/{d // g}" for x in n]
 
 
 def _fraction_text(x) -> str:

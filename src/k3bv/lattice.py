@@ -129,14 +129,6 @@ def pairing(lattice: IntegerLattice, v: Vector, w: Vector):
     return total if dv * dw == 1 else Fraction(total, dv * dw)
 
 
-def _cleared_forms(gram: Matrix, v: Vector, w: Vector):
-    """((nv, dv), (nw, dw), (vv, ww, vw)) with v = nv / dv and w = nw / dw over
-    least denominators, each cleared once, and the forms v.v = vv / dv^2,
-    w.w = ww / dw^2 and v.w = vw / (dv dw) summed over int."""
-    (nv, _), (nw, _) = cleared = mo.clear_denominators(v), mo.clear_denominators(w)
-    return *cleared, (_gram_dot(nv, gram, nv), _gram_dot(nw, gram, nw), _gram_dot(nv, gram, nw))
-
-
 def det_and_signature(lattice: IntegerLattice) -> tuple[int, tuple[int, int, int]]:
     """Exact determinant and inertia (positive, negative, zero counts).
 

@@ -64,12 +64,12 @@ class MirrorSplit(Record):
         """Nonzeros of the rows of the M-check basis."""
         return mo.nonzeros(self.m_check.basis)
 
-    def split_coordinates(self, v: Vector) -> tuple[int, ...]:
+    def split_coordinates(self, v: Vector, count: int | None = None) -> tuple[int, ...]:
         """(a, b, c_1, ..., c_r) with v = aE + bE' + sum c_i M_i, for an
-        integer vector v in T coordinates."""
+        integer vector v in T coordinates; only the first `count` if given."""
         if len(v) != self.t.rank:
             raise DimensionMismatch(f"vector has length {len(v)}, rank T is {self.t.rank}")
-        return tuple(sum(v[k] * x for k, x in col) for col in self._inverse_columns)
+        return tuple(sum(v[k] * x for k, x in col) for col in self._inverse_columns[:count])
 
     def _from_m_check(self, c: Vector) -> list[int]:
         """sum c_i M_i in T coordinates, for integer M-check coordinates c."""

@@ -7,13 +7,12 @@ period over T:
     im = omega - (omega.B) E
 
 For m > 1 the output has rational coordinates (the E'/m term); the
-bilinear form extends rationally without change.
+bilinear form extends rationally without change. Both directions work on
+integer numerators and build their output as numerators over one
+denominator, with no Fraction per coordinate.
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
-from math import lcm
 
 from .domains import PeriodVector, TubePoint, in_period_domain
 from .errors import K3BVError, NormalizationError
@@ -27,20 +26,20 @@ def phi(split: MirrorSplit, p: TubePoint) -> PeriodVector:
     if p.lattice != split.m_check:
         raise K3BVError("tube point must live over the M-check of the split")
     # B = nb / db, omega = nw / dw, and bb, ww, bw the integer forms.
-    (nb, db), (nw, dw), (bb, ww, bw) = p.cleared
+    (nb, db), (nw, dw) = p.cleared
+    bb, ww, bw = p.forms
     if ww <= 0:
         raise K3BVError("point is not in the tube domain: omega.omega <= 0")
     m = split.m
     e, ep = split.pair.e, split.pair.e_prime
     b_t, w_t = split._from_m_check(nb), split._from_m_check(nw)
-    # re = b_t / db + E' / m + q E over one common denominator d, and
-    # im = w_t / dw - (B.omega) E = (db w_t - bw E) / (db dw).
-    q = Fraction(ww * db * db - bb * dw * dw, 2 * (db * dw) ** 2)
-    d = lcm(db, m, q.denominator)
-    cb, cep, ce = d // db, d // m, q.numerator * (d // q.denominator)
-    re = tuple(Fraction(cb * x + cep * y + ce * z, d) for x, y, z in zip(b_t, ep, e))
-    im = tuple(Fraction(db * x - bw * z, db * dw) for x, z in zip(w_t, e))
-    return PeriodVector(split.t, re, im)
+    # re = b_t / db + E' / m + ((ww / dw^2 - bb / db^2) / 2) E over the
+    # common denominator 2 m db^2 dw^2, and im = w_t / dw - (B.omega) E =
+    # (db w_t - bw E) / (db dw); _from_cleared divides out each gcd.
+    cb, cep, ce = 2 * m * db * dw * dw, 2 * (db * dw) ** 2, m * (ww * db * db - bb * dw * dw)
+    re = [cb * x + cep * y + ce * z for x, y, z in zip(b_t, ep, e)]
+    im = [db * x - bw * z for x, z in zip(w_t, e)]
+    return PeriodVector._from_cleared(split.t, (re, m * cep), (im, db * dw))
 
 
 def phi_inverse(split: MirrorSplit, om: PeriodVector) -> TubePoint:
@@ -54,7 +53,7 @@ def phi_inverse(split: MirrorSplit, om: PeriodVector) -> TubePoint:
     # re = nr / dr and im = ni / di, so Omega = (x + i y) / (dr di) in the
     # basis (E, E', M-check) of T, with x the coordinates of di nr and y
     # those of dr ni; the factor dr di cancels in the normalization below.
-    (nr, dr), (ni, di), _ = om.cleared
+    (nr, dr), (ni, di) = om.cleared
     x = tuple(di * c for c in split.split_coordinates(nr))
     y = tuple(dr * c for c in split.split_coordinates(ni))
     # E.E = 0, E'.E = m and M-check is orthogonal to E, so
@@ -69,6 +68,6 @@ def phi_inverse(split: MirrorSplit, om: PeriodVector) -> TubePoint:
     # M-check coordinates.
     den = split.m * (a * a + b * b)
     pairs = tuple(zip(x[2:], y[2:]))
-    return TubePoint(split.m_check,
-                     tuple(Fraction(xk * a + yk * b, den) for xk, yk in pairs),
-                     tuple(Fraction(yk * a - xk * b, den) for xk, yk in pairs))
+    return TubePoint._from_cleared(split.m_check,
+                                   ([xk * a + yk * b for xk, yk in pairs], den),
+                                   ([yk * a - xk * b for xk, yk in pairs], den))

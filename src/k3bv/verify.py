@@ -142,7 +142,7 @@ def criterion_3() -> str:
         _check(real == 0 and imag == 0, "Omega.Omega != 0")
         _check(om.omega_dot_conjugate() == 2 * p.omega_sq(), "Omega.conj != 2 omega^2")
         back = phi_inverse(split, om)
-        _check(back.b == p.b and back.omega == p.omega, "round trip failed")
+        _check(back == p, "round trip failed")
     return "100 random points: quadrics exact, round trip exact"
 
 

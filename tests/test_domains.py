@@ -10,7 +10,6 @@ from k3bv import (IntegerLattice, K3BVError, PeriodVector, Sublattice, TubePoint
                   check_admissible, construct_mirror, in_delta, in_period_domain,
                   in_primed, in_tube, pairing, phi)
 from k3bv import matrixops as mo
-from k3bv.lattice import _cleared_forms
 
 
 @pytest.fixture
@@ -125,12 +124,14 @@ def _reference(sub, v, w):
 @given(lattice_and_vectors(2))
 def test_form_matches_fraction_reference(case):
     sub, v, w = case
-    (nv, dv), (nw, dw), (vv, ww, vw) = _cleared_forms(sub.gram(), v, w)
+    p = TubePoint(sub, v, w)
+    (nv, dv), (nw, dw) = p.cleared
+    vv, ww, vw = p.forms
     assert (nv, dv) == mo.clear_denominators(v) and (nw, dw) == mo.clear_denominators(w)
     assert Fraction(vv, dv * dv) == _reference(sub, v, v)
     assert Fraction(ww, dw * dw) == _reference(sub, w, w)
     assert Fraction(vw, dv * dw) == _reference(sub, v, w)
-    assert _cleared_forms(sub.gram(), v, tuple(0 for _ in v))[2][1:] == (0, 0)
+    assert TubePoint(sub, v, tuple(0 for _ in v)).forms[1:] == (0, 0)
 
 
 @settings(max_examples=100, deadline=None)
@@ -168,6 +169,7 @@ def test_clear_denominators():
 def test_form_on_rank_zero_m_check(U):
     split = construct_mirror(check_admissible(Sublattice.full(U), (1, 0), (0, 1), 1))
     assert split.m_check.rank == 0
-    assert _cleared_forms(split.m_check.gram(), (), ()) == (((), 1), ((), 1), (0, 0, 0))
+    p = TubePoint(split.m_check, (), ())
+    assert (p.cleared, p.forms) == ((((), 1), ((), 1)), (0, 0, 0))
     assert pairing(split.m_check.induced_lattice(), (), ()) == 0
     assert TubePoint(split.m_check, (), ()).omega_sq() == 0

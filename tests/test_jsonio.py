@@ -3,9 +3,11 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from k3bv import K3BVError, KodairaType, RealFiberType, k3_lattice
-from k3bv.jsonio import (census_from_json, census_to_json, dumps,
+from k3bv.jsonio import (census_from_json, census_to_json, cleared_to_json, dumps,
                          int_from_json, involution_from_json, lattice_from_json,
                          lattice_to_json, parse_coords, rational_from_str,
                          sublattice_from_json, sublattice_to_json)
@@ -123,3 +125,9 @@ def test_dumps_refuses_other_objects(value):
     # Only Fractions are rendered as text; anything else JSON cannot hold is an error.
     with pytest.raises(TypeError, match="not JSON serializable"):
         dumps({"a": [value]})
+
+
+@given(st.lists(st.integers(-10**6, 10**6), max_size=6), st.integers(1, 10**4))
+def test_cleared_to_json_writes_each_entry_as_dumps_writes_its_fraction(n, d):
+    texts = cleared_to_json((n, d))
+    assert dumps(texts) == dumps([Fraction(x, d) for x in n])

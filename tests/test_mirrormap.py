@@ -121,7 +121,9 @@ def test_round_trip_clears_each_vector_once(monkeypatch, k3_split):
     assert om.omega_dot_conjugate() == 2 * p.omega_sq()
     assert phi_inverse(split, om) == p
     assert in_primed(p, split) == in_primed(om, split) == (p.b_dot_omega() == 0)
-    assert len(calls) <= 4
+    # Only the caller's B and omega: phi and phi_inverse build their
+    # outputs as numerators over one denominator.
+    assert len(calls) <= 2
 
 
 @pytest.mark.parametrize("length", [5, 25])
@@ -303,3 +305,62 @@ def test_phi_matches_its_defining_formula(any_split, data):
     im = mo.sub_vec(w, mo.scale_vec(lattice.pairing(lat, w, b), e))
     om = phi(split, p)
     assert om.re == re and om.im == im
+
+
+# --- records built from numerators against the public constructor ------------
+
+def _same_record(built, public):
+    assert built == public and hash(built) == hash(public)
+    assert built.cleared == public.cleared and repr(built) == repr(public)
+
+
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_records_built_from_numerators_match_the_public_constructor(any_split, data):
+    split, positive = any_split
+    p = data.draw(tube_points(split, positive))
+    om = phi(split, p)
+    back = phi_inverse(split, om)
+    _same_record(om, PeriodVector(split.t, om.re, om.im))
+    _same_record(back, TubePoint(split.m_check, back.b, back.omega))
+    assert back == p and hash(back) == hash(p)
+    assert all(type(x) is Fraction for x in om.re + om.im + back.b + back.omega)
+
+
+def test_phi_divides_out_a_common_denominator_that_is_not_least(u2_split):
+    # B = (1/2, 0), omega = (2, 2): im = (2 omega_T - (B.omega) E) / 2 over
+    # db dw = 2, and every numerator is even.
+    p = TubePoint(u2_split.m_check, (Fraction(1, 2), 0), (2, 2))
+    om = phi(u2_split, p)
+    assert om.cleared[1] == ((-1, 0, 2, 2), 1)
+    assert om.im == (-1, 0, 2, 2)
+    _same_record(om, PeriodVector(u2_split.t, om.re, om.im))
+    assert phi_inverse(u2_split, om) == p
+
+
+@pytest.mark.parametrize("cls, over, message", [
+    (PeriodVector, "t", "re has length 3, lattice rank is 4"),
+    (TubePoint, "m_check", "B has length 3, lattice rank is 2"),
+])
+def test_record_from_numerators_refuses_a_wrong_length(u2_split, cls, over, message):
+    lattice = getattr(u2_split, over)
+    with pytest.raises(DimensionMismatch, match=f"^{message}$"):
+        cls._from_cleared(lattice, ((1, 2, 3), 1), ((0,) * lattice.rank, 1))
+
+
+@settings(max_examples=25, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_in_primed_reads_the_first_two_split_coordinates(skewed, data):
+    split, positive = skewed
+    n = split.t.rank
+    ints = st.lists(st.integers(-9, 9), min_size=n, max_size=n)
+    in_m_check = tuple(split._from_m_check(
+        data.draw(st.lists(st.integers(-9, 9), min_size=n - 2, max_size=n - 2))))
+    om = phi(split, data.draw(tube_points(split, positive)))
+    for im in (tuple(data.draw(ints)), in_m_check, om.cleared[1][0]):
+        assert split.split_coordinates(im, 2) == split.split_coordinates(im)[:2]
+        primed = split.split_coordinates(im)[:2] == (0, 0)
+        assert in_primed(PeriodVector(split.t, tuple(data.draw(ints)), im), split) == primed
+    assert in_primed(om, split) == (split.split_coordinates(om.cleared[1][0])[:2] == (0, 0))
+    assert in_primed(PeriodVector(split.t, in_m_check, in_m_check), split)
