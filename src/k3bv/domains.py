@@ -4,7 +4,8 @@ locus and the primed real-codimension-one slices.
 All vectors carry exact rational coordinates in the basis of the
 sublattice they live over; only rational points are representable. Each
 is held as integer numerators over one least denominator, every form is
-summed over int, and Fraction coordinates are views built on first read.
+summed over int from one pass over the Gram's nonzeros, and Fraction
+coordinates are views built on first read.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from typing import Optional
 
 from . import matrixops as mo
 from .errors import DimensionMismatch, K3BVError
-from .lattice import Sublattice, _gram_dot
+from .lattice import Sublattice
 from .matrixops import Vector, check_integers, check_rationals
 from .mirror import MirrorSplit
 from .record import Record
@@ -38,6 +39,8 @@ class _TwoVectors(Record):
     vectors it is given, and `_from_cleared` leaves each to its first read."""
 
     def __post_init__(self):
+        if not isinstance(self.lattice, Sublattice):
+            raise K3BVError(f"{type(self).__name__} lattice must be a Sublattice")
         cleared = []
         for name, label in zip(self._fields[1:], self._labels):
             (v,) = mo.freeze((self.__dict__[name],))
@@ -65,8 +68,8 @@ class _TwoVectors(Record):
     def forms(self) -> tuple[int, int, int]:
         """(n1.n1, n2.n2, n1.n2) for the cleared (n1, d1), (n2, d2), over int."""
         (n1, _), (n2, _) = self.cleared
-        gram = self.lattice.gram()
-        return _gram_dot(n1, gram, n1), _gram_dot(n2, gram, n2), _gram_dot(n1, gram, n2)
+        g1, g2 = mo.mat_vec_pair(self.lattice.induced_lattice().gram_nonzeros, n1, n2)
+        return mo.dot(n1, g1), mo.dot(n2, g2), mo.dot(n1, g2)
 
     def __getattr__(self, name):
         # Only names missing from __dict__, as the views of _from_cleared are.
@@ -139,10 +142,8 @@ def in_delta(om: PeriodVector) -> tuple[bool, Optional[Vector]]:
     (nr, _), (ni, _) = om.cleared
     if not any(nr) and not any(ni):
         raise K3BVError("the zero vector is not a period")
-    kernel = mo.integer_kernel(tuple(mo.mat_vec(om.lattice.gram(), n) for n in (nr, ni)))
-    if kernel:
-        return True, kernel[0]
-    return False, None
+    kernel = mo.integer_kernel(mo.mat_vec_pair(om.lattice.induced_lattice().gram_nonzeros, nr, ni))
+    return (True, kernel[0]) if kernel else (False, None)
 
 
 def in_primed(point, split: MirrorSplit) -> bool:
@@ -153,7 +154,11 @@ def in_primed(point, split: MirrorSplit) -> bool:
     its E and E' coordinates vanish, i.e. when Im Omega.E' = Im Omega.E = 0.
     """
     if isinstance(point, TubePoint):
+        if point.lattice != split.m_check:
+            raise K3BVError("tube point must live over the M-check of the split")
         return point.forms[2] == 0
     if isinstance(point, PeriodVector):
+        if point.lattice != split.t:
+            raise K3BVError("period vector must live over the T of the split")
         return not any(split.split_coordinates(point.cleared[1][0], 2))
     raise K3BVError(f"expected TubePoint or PeriodVector, got {type(point).__name__}")

@@ -11,8 +11,8 @@ its coordinates read off pivot by pivot.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 from math import gcd
-from operator import mul
 
 from . import matrixops as mo
 from .errors import DimensionMismatch, NotInLattice
@@ -54,6 +54,10 @@ class IntegerLattice(Record):
     @property
     def rank(self) -> int:
         return len(self.gram)
+
+    @cached_property
+    def gram_nonzeros(self):
+        return mo.nonzeros(self.gram)
 
     def is_even(self) -> bool:
         return all(self.gram[i][i] % 2 == 0 for i in range(self.rank))
@@ -115,17 +119,12 @@ class Sublattice(Record):
         return Sublattice(self.ambient, mo.mat_mul(inner.basis, self.basis))
 
 
-def _gram_dot(v: Vector, gram: Matrix, w: Vector) -> int:
-    """v^T G w for integer v and w over int, skipping the zero entries of v."""
-    return sum(x * sum(map(mul, row, w)) for x, row in zip(v, gram) if x)
-
-
 def pairing(lattice: IntegerLattice, v: Vector, w: Vector):
     """Bilinear form v^T * gram * w, exact and symmetric in v and w. Each vector
     is cleared of denominators once and the form summed over int: an int when
     both vectors are integral, one Fraction otherwise."""
     (nv, dv), (nw, dw) = (mo.clear_denominators(lattice.check_vector(x)) for x in (v, w))
-    total = _gram_dot(nv, lattice.gram, nw)
+    total = mo.dot(nv, mo.mat_vec_pair(lattice.gram_nonzeros, nv, nw)[1])
     return total if dv * dw == 1 else Fraction(total, dv * dw)
 
 

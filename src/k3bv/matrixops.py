@@ -13,8 +13,8 @@ that form, a kernel from one pass over [a^T | I]. Lattice equality
 compares Hermite normal forms. A determinant eliminates forward only.
 Ranks in this package never exceed 22. The product a b skips the zero
 entries of each row of a that is at least half zero, and a Hermite step
-those of a pivot row that is at least half zero; nonzeros lists each row
-of a matrix applied many times as (index, entry) pairs.
+those of a pivot row that is at least half zero; mat_vec_pair applies a
+matrix, kept as its nonzeros, to two vectors in one pass.
 """
 
 from __future__ import annotations
@@ -96,6 +96,18 @@ def vec_mat(v: Vector, a: Matrix) -> Vector:
 def nonzeros(a: Matrix) -> tuple[tuple[tuple[int, object], ...], ...]:
     """Each row of a as the (index, entry) pairs of its nonzero entries."""
     return tuple(tuple((k, x) for k, x in enumerate(row) if x) for row in a)
+
+
+def mat_vec_pair(rows, v: Vector, w: Vector) -> tuple[Vector, Vector]:
+    """(a v, a w) for a given as nonzeros(a), in one pass over its entries."""
+    av, aw = [], []
+    for row in rows:
+        s = t = 0
+        for k, x in row:
+            s, t = s + x * v[k], t + x * w[k]
+        av.append(s)
+        aw.append(t)
+    return tuple(av), tuple(aw)
 
 
 def dot(v: Vector, w: Vector) -> object:

@@ -35,8 +35,8 @@ class MirrorSplit(Record):
 
     p and m_check are sublattices of the induced lattice of T (i.e. their
     generators are written in T coordinates). section_class is E' - E.
-    The mirror map's fixed matrices, the M-check basis and the inverse of
-    (E, E', M-check), are kept by their nonzeros, each built on first use.
+    The mirror map's fixed matrices, the columns of the M-check basis and of
+    the inverse of (E, E', M-check), are kept by their nonzeros on first use.
     """
 
     pair: AdmissiblePair
@@ -60,9 +60,9 @@ class MirrorSplit(Record):
         return mo.nonzeros(mo.transpose(mo.integer_inverse(basis)))
 
     @cached_property
-    def _m_check_rows(self):
-        """Nonzeros of the rows of the M-check basis."""
-        return mo.nonzeros(self.m_check.basis)
+    def _m_check_columns(self):
+        """Nonzeros of the columns of the M-check basis: c -> sum c_i M_i."""
+        return mo.nonzeros(mo.transpose(self.m_check.basis) or mo.zeros(self.t.rank, 0))
 
     def split_coordinates(self, v: Vector, count: int | None = None) -> tuple[int, ...]:
         """(a, b, c_1, ..., c_r) with v = aE + bE' + sum c_i M_i, for an
@@ -70,14 +70,6 @@ class MirrorSplit(Record):
         if len(v) != self.t.rank:
             raise DimensionMismatch(f"vector has length {len(v)}, rank T is {self.t.rank}")
         return tuple(sum(v[k] * x for k, x in col) for col in self._inverse_columns[:count])
-
-    def _from_m_check(self, c: Vector) -> list[int]:
-        """sum c_i M_i in T coordinates, for integer M-check coordinates c."""
-        out = [0] * self.t.rank
-        for ck, row in zip(c, self._m_check_rows):
-            for k, y in row:
-                out[k] += ck * y
-        return out
 
 
 def check_admissible(t: Sublattice, e: Vector, e_prime: Vector, m: int) -> AdmissiblePair:

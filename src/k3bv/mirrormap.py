@@ -14,6 +14,7 @@ denominator, with no Fraction per coordinate.
 
 from __future__ import annotations
 
+from . import matrixops as mo
 from .domains import PeriodVector, TubePoint, in_period_domain
 from .errors import K3BVError, NormalizationError
 from .mirror import MirrorSplit
@@ -32,7 +33,7 @@ def phi(split: MirrorSplit, p: TubePoint) -> PeriodVector:
         raise K3BVError("point is not in the tube domain: omega.omega <= 0")
     m = split.m
     e, ep = split.pair.e, split.pair.e_prime
-    b_t, w_t = split._from_m_check(nb), split._from_m_check(nw)
+    b_t, w_t = mo.mat_vec_pair(split._m_check_columns, nb, nw)
     # re = b_t / db + E' / m + ((ww / dw^2 - bb / db^2) / 2) E over the
     # common denominator 2 m db^2 dw^2, and im = w_t / dw - (B.omega) E =
     # (db w_t - bw E) / (db dw); _from_cleared divides out each gcd.
@@ -54,8 +55,8 @@ def phi_inverse(split: MirrorSplit, om: PeriodVector) -> TubePoint:
     # basis (E, E', M-check) of T, with x the coordinates of di nr and y
     # those of dr ni; the factor dr di cancels in the normalization below.
     (nr, dr), (ni, di) = om.cleared
-    x = tuple(di * c for c in split.split_coordinates(nr))
-    y = tuple(dr * c for c in split.split_coordinates(ni))
+    cr, ci = mo.mat_vec_pair(split._inverse_columns, nr, ni)
+    x, y = tuple(di * c for c in cr), tuple(dr * c for c in ci)
     # E.E = 0, E'.E = m and M-check is orthogonal to E, so
     # Omega.E = m (a + i b) / (dr di) with a + i b the E' coordinate.
     a, b = x[1], y[1]

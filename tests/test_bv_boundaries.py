@@ -1,13 +1,14 @@
 """The Borcea-Voisin entry points refuse a value of the wrong kind with a
 K3BVError: the (N, N') formulas take only a BVData, a census only a
-sequence of FiberRecords, the elliptic factor only a pair (B2, omega2), and
-a tensor period only (key, QC coefficient) pairs with keys on
-{E, E', m_0 .. m_{r-1}} x {s_x, s_y} and r an exact int >= 1."""
+sequence of FiberRecords, the elliptic factor only a pair (B2, omega2), a
+tensor period only (key, QC coefficient) pairs with keys on
+{E, E', m_0 .. m_{r-1}} x {s_x, s_y} and r an exact int >= 1, and the
+tube point and period records only a Sublattice."""
 
 import pytest
 
 from k3bv import (BVData, FiberCensus, FiberRecord, K3BVError, KodairaType, QC,
-                  SelfMirrorLocus, Sublattice, TensorPeriod, TubePoint,
+                  PeriodVector, SelfMirrorLocus, Sublattice, TensorPeriod, TubePoint,
                   bv_mirror_period, euler_characteristic, hodge_numbers,
                   hyperbolic_plane, mirror_swap)
 
@@ -34,6 +35,8 @@ CASES = {
     "TensorPeriod non-pair component": lambda: TensorPeriod((5,), 2),
     "TensorPeriod int coefficient": lambda: TensorPeriod(((("E'", "s_x"), 5),), 1),
     "TensorPeriod str coefficient": lambda: TensorPeriod(((("E'", "s_x"), "1"),), 1),
+    "TubePoint int lattice": lambda: TubePoint(5, (1,), (1,)),
+    "PeriodVector None lattice": lambda: PeriodVector(None, (1,), (1,)),
 }
 
 

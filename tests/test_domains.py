@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from k3bv import (IntegerLattice, K3BVError, PeriodVector, Sublattice, TubePoint,
-                  check_admissible, construct_mirror, in_delta, in_period_domain,
-                  in_primed, in_tube, pairing, phi)
+                  check_admissible, construct_mirror, direct_sum, hyperbolic_plane,
+                  in_delta, in_period_domain, in_primed, in_tube, pairing, phi)
 from k3bv import matrixops as mo
 
 
@@ -89,6 +89,16 @@ class TestInPrimed:
         om = PeriodVector(uu_split.t, (0, 0, 1, 1), (0, 1, 0, 0))
         assert not in_primed(om, uu_split)
 
+    def test_rejects_a_point_over_another_lattice(self, uu_split):
+        # Same ranks as the split's T and M-check, other Grams: each point
+        # would pass a length check, and phi / phi_inverse refuse both.
+        over_u2_u = Sublattice.full(direct_sum(hyperbolic_plane(2), hyperbolic_plane(1)))
+        with pytest.raises(K3BVError, match="^period vector must live over the T of the split$"):
+            in_primed(PeriodVector(over_u2_u, (1, 0, 0, 0), (0, 0, 1, 1)), uu_split)
+        with pytest.raises(K3BVError,
+                           match="^tube point must live over the M-check of the split$"):
+            in_primed(TubePoint(Sublattice.full(hyperbolic_plane(3)), (0, 0), (1, 1)), uu_split)
+
     def test_rejects_other_types(self, uu_split):
         with pytest.raises(K3BVError):
             in_primed((1, 2), uu_split)
@@ -107,10 +117,12 @@ rationals = st.fractions(min_value=-20, max_value=20, max_denominator=12)
 
 
 @st.composite
-def lattice_and_vectors(draw, count):
-    """A random symmetric integer Gram (rank 0..6) and rational vectors."""
+def lattice_and_vectors(draw, count, dense=False):
+    """A random symmetric integer Gram (rank 0..6), with no zero entry when
+    dense, and rational vectors."""
     n = draw(st.integers(0, 6))
-    entries = {(i, j): draw(st.integers(-9, 9)) for i in range(n) for j in range(i, n)}
+    entry = st.integers(-9, 9).filter(bool) if dense else st.integers(-9, 9)
+    entries = {(i, j): draw(entry) for i in range(n) for j in range(i, n)}
     gram = tuple(tuple(entries[min(i, j), max(i, j)] for j in range(n)) for i in range(n))
     vectors = [tuple(draw(st.lists(rationals, min_size=n, max_size=n))) for _ in range(count)]
     return (Sublattice.full(IntegerLattice(gram)),) + tuple(vectors)
@@ -121,17 +133,23 @@ def _reference(sub, v, w):
 
 
 @settings(max_examples=100, deadline=None)
-@given(lattice_and_vectors(2))
-def test_form_matches_fraction_reference(case):
+@given(st.one_of(lattice_and_vectors(2), lattice_and_vectors(2, dense=True)), st.data())
+def test_form_matches_fraction_reference(case, data):
     sub, v, w = case
-    p = TubePoint(sub, v, w)
-    (nv, dv), (nw, dw) = p.cleared
-    vv, ww, vw = p.forms
-    assert (nv, dv) == mo.clear_denominators(v) and (nw, dw) == mo.clear_denominators(w)
-    assert Fraction(vv, dv * dv) == _reference(sub, v, v)
-    assert Fraction(ww, dw * dw) == _reference(sub, w, w)
-    assert Fraction(vw, dv * dw) == _reference(sub, v, w)
-    assert TubePoint(sub, v, tuple(0 for _ in v)).forms[1:] == (0, 0)
+    # Also v and w cut to complementary supports: each is zero where the
+    # other is not, so the one pass over the Gram meets zeros in one vector.
+    mask = data.draw(st.lists(st.booleans(), min_size=len(v), max_size=len(v)))
+    apart = (tuple(x if keep else 0 for x, keep in zip(v, mask)),
+             tuple(0 if keep else x for x, keep in zip(w, mask)))
+    for v, w in ((v, w), apart):
+        p = TubePoint(sub, v, w)
+        (nv, dv), (nw, dw) = p.cleared
+        vv, ww, vw = p.forms
+        assert (nv, dv) == mo.clear_denominators(v) and (nw, dw) == mo.clear_denominators(w)
+        assert Fraction(vv, dv * dv) == _reference(sub, v, v)
+        assert Fraction(ww, dw * dw) == _reference(sub, w, w)
+        assert Fraction(vw, dv * dw) == _reference(sub, v, w)
+        assert TubePoint(sub, v, tuple(0 for _ in v)).forms[1:] == (0, 0)
 
 
 @settings(max_examples=100, deadline=None)

@@ -217,6 +217,33 @@ class TestProduct:
             mo.mat_mul(a, b)
 
 
+@st.composite
+def pair_products(draw):
+    """(a, v, w): a m x n with 0 <= m, n <= 6, sparse or dense rows and a
+    drawn set of zero columns, and two rational vectors of length n."""
+    m, n = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+    entries = nonzero_entries[draw(st.sampled_from(sorted(nonzero_entries)))]
+    zero_columns = draw(st.sets(st.integers(0, n - 1))) if n else set()
+    a = [tuple(0 if j in zero_columns else x for j, x in enumerate(row))
+         for row in draw(sparse_rows(m, n, entries))]
+    v, w = (tuple(draw(st.lists(rationals, min_size=n, max_size=n))) for _ in range(2))
+    return a, v, w
+
+
+class TestProductPair:
+    @settings(max_examples=300, deadline=None)
+    @given(pair_products())
+    # No rows; rows of no entries; a zero row, a zero column and a dense row.
+    @example(((), (1, 2), (3, 4)))
+    @example((((), ()), (), ()))
+    @example((((0, 0, 0), (0, 5, -1), (2, 0, 3)), (1, 2, 3), (Fraction(1, 2), 0, -1)))
+    def test_matches_two_products(self, avw):
+        a, v, w = avw
+        av, aw = mo.mat_vec_pair(mo.nonzeros(a), v, w)
+        assert (av, aw) == (mo.mat_vec(a, v), mo.mat_vec(a, w))
+        assert type(av) is tuple and type(aw) is tuple
+
+
 # --- the kernel against the reference ---------------------------------------
 
 class TestKernelAgainstReference:

@@ -133,23 +133,34 @@ def test_split_coordinates_rejects_a_vector_of_the_wrong_length(k3_split, length
 
 
 def test_split_views_are_lazy_and_built_once(monkeypatch):
-    """construct_mirror builds neither nonzero view of the split; the mirror
-    map builds each once, with one integer inverse."""
-    calls = Counter()
+    """construct_mirror builds none of the four nonzero views the mirror map
+    reads: the Grams of M-check and of T, the columns of the M-check basis
+    and those of the inverse of (E, E', M-check). The mirror map builds
+    each once, with one integer inverse."""
+    calls, views = Counter(), Counter()
+    inverse = mo.integer_inverse
     for name in ("integer_inverse", "nonzeros"):
         def counting(a, name=name, original=getattr(mo, name)):
             calls[name] += 1
+            if name == "nonzeros":
+                views[mo.freeze(a)] += 1
             return original(a)
         monkeypatch.setattr(mo, name, counting)
     split = _k3_setup()[3]
-    assert not calls and not {"_inverse_columns", "_m_check_rows"} & vars(split).keys()
+    lattices = (split.m_check.induced_lattice(), split.t.induced_lattice())
+    assert not calls and not {"_inverse_columns", "_m_check_columns"} & vars(split).keys()
+    assert not any("gram_nonzeros" in vars(lat) for lat in lattices)
     rest = (0,) * 16
     for b in ((Fraction(1, 3), 0) + rest, (0, 1) + rest, (0, 0) + rest):
         p = TubePoint(split.m_check, b, (1, 2) + rest)
         om = phi(split, p)
         assert phi_inverse(split, om) == p
         assert in_primed(p, split) == in_primed(om, split) == (p.b_dot_omega() == 0)
-    assert calls == {"integer_inverse": 1, "nonzeros": 2}
+    basis = (split.pair.e, split.pair.e_prime) + split.m_check.basis
+    assert calls == {"integer_inverse": 1, "nonzeros": 4}
+    assert views == {lattices[0].gram: 1, lattices[1].gram: 1,
+                     mo.transpose(split.m_check.basis): 1,
+                     mo.transpose(inverse(basis)): 1}
 
 
 class TestEllipticPhi:
@@ -284,10 +295,13 @@ def any_split(request, k3_split):
 @settings(max_examples=25, deadline=None)
 @given(data=st.data())
 def test_from_m_check_matches_the_dense_product(any_split, data):
+    """The M-check columns view takes two coordinate vectors c, d to
+    sum c_i M_i and sum d_i M_i in one pass."""
     split, _ = any_split
-    c = data.draw(st.lists(st.integers(-50, 50), min_size=split.m_check.rank,
-                           max_size=split.m_check.rank))
-    assert tuple(split._from_m_check(c)) == mo.vec_mat(c, split.m_check.basis)
+    c, d = (data.draw(st.lists(st.integers(-50, 50), min_size=split.m_check.rank,
+                               max_size=split.m_check.rank)) for _ in range(2))
+    assert mo.mat_vec_pair(split._m_check_columns, c, d) == (
+        mo.vec_mat(c, split.m_check.basis), mo.vec_mat(d, split.m_check.basis))
 
 
 @settings(max_examples=25, deadline=None)
@@ -355,8 +369,8 @@ def test_in_primed_reads_the_first_two_split_coordinates(skewed, data):
     split, positive = skewed
     n = split.t.rank
     ints = st.lists(st.integers(-9, 9), min_size=n, max_size=n)
-    in_m_check = tuple(split._from_m_check(
-        data.draw(st.lists(st.integers(-9, 9), min_size=n - 2, max_size=n - 2))))
+    c = data.draw(st.lists(st.integers(-9, 9), min_size=n - 2, max_size=n - 2))
+    in_m_check = mo.mat_vec_pair(split._m_check_columns, c, c)[0]
     om = phi(split, data.draw(tube_points(split, positive)))
     for im in (tuple(data.draw(ints)), in_m_check, om.cleared[1][0]):
         assert split.split_coordinates(im, 2) == split.split_coordinates(im)[:2]
