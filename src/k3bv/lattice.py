@@ -84,13 +84,21 @@ class Sublattice(Record):
         if any(len(row) != n for row in b):
             raise DimensionMismatch("generator rows must have ambient rank length")
         mo.check_integers("generator entries", *b)
-        # The row HNF is the canonical key same_sublattice compares; its
-        # last row is zero exactly when the rows are dependent. A basis equal
-        # to it is its own key, which tells coordinates_in to go pivot by pivot.
-        hnf = mo.hermite_normal_form(b)
-        if hnf and not any(hnf[-1]):
-            raise DimensionMismatch("generator rows must be linearly independent over Q")
-        object.__setattr__(self, "_hnf", b if hnf == b else hnf)
+        # A basis with positive, strictly increasing pivots, entries above
+        # each pivot p in [0, p) and no zero row is in HNF, the key that
+        # same_sublattice compares, and coordinates_in goes pivot by pivot on
+        # it; the scan stops at the first broken rule. Another basis takes the
+        # HNF, whose last row is zero exactly when the rows are dependent.
+        hnf, last = b, -1
+        for i, row in enumerate(b):
+            c = next((j for j, x in enumerate(row) if x), -1)
+            if c <= last or row[c] < 0 or not all(0 <= r[c] < row[c] for r in b[:i]):
+                hnf = mo.hermite_normal_form(b)
+                if not any(hnf[-1]):
+                    raise DimensionMismatch("generator rows must be linearly independent over Q")
+                break
+            last = c
+        object.__setattr__(self, "_hnf", hnf)
 
     @classmethod
     def full(cls, lattice: IntegerLattice) -> "Sublattice":

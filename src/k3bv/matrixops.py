@@ -11,16 +11,17 @@ A saturation is one form of the columns, with no transform carried, and
 an exact forward substitution. Kernel and saturation bases come back in
 that form, a kernel from one pass over [a^T | I]. Lattice equality
 compares Hermite normal forms. A determinant eliminates forward only.
-Ranks in this package never exceed 22. The product a b skips the zero
-entries of each row of a that is at least half zero, and a Hermite step
-those of a pivot row that is at least half zero; mat_vec_pair applies a
+Ranks in this package never exceed 22. Zeros cost nothing: a product
+reads a and the used rows of b by their nonzeros, a Hermite step updates
+rows in place at the nonzeros of the pivot row when their quotient is not
+0, a determinant leaves zero-led rows unscaled, and mat_vec_pair applies a
 matrix, kept as its nonzeros, to two vectors in one pass.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, compress
 from math import gcd, lcm, prod
 from operator import mul
 
@@ -67,19 +68,16 @@ def transpose(a: Matrix) -> Matrix:
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     if a and b and len(a[0]) != len(b):
         raise DimensionMismatch(f"cannot multiply {len(a)}x{len(a[0])} by {len(b)}x{len(b[0])}")
-    zero = (0,) * len(b[0]) if b else ()
-    bt = None
-    out = []
+    n, views, out = len(b[0]) if b else 0, [None] * len(b), []
     for row in a:
-        if 2 * row.count(0) >= len(row):
-            acc = zero
-            for x, brow in zip(row, b):
-                if x:
-                    acc = [s + x * y for s, y in zip(acc, brow)]
-            out.append(tuple(acc))
-        else:
-            bt = bt or transpose(b)
-            out.append(tuple(sum(map(mul, row, col)) for col in bt))
+        acc = [0] * n
+        for k in compress(range(len(b)), row):
+            if (view := views[k]) is None:
+                view = views[k] = [(j, y) for j, y in enumerate(b[k]) if y]
+            x = row[k]
+            for j, y in view:
+                acc[j] += x * y
+        out.append(tuple(acc))
     return tuple(out)
 
 
@@ -132,24 +130,29 @@ def sub_vec(v: Vector, w: Vector) -> Vector:
 
 def bareiss_det(a: Matrix) -> int:
     """Exact determinant of an integer matrix by forward-only fraction-free
-    elimination (Bareiss; Cohen, Sec. 2.2): each step splits off a pivot row
-    and the first column and updates only the rows left, as (p * row -
-    f * pivot_row) / prev, an exact division. The last pivot is the
-    determinant, negated once per odd move of a pivot row up."""
+    elimination (Bareiss; Cohen, Sec. 2.2). Step k splits off a pivot row y
+    and the first column; each row r left becomes (p_k r - r_0 y) / p_(k-1),
+    with p_k the pivot and p_0 = 1, and every entry is a minor of a. As a
+    zero-led row is only scaled, by p_k / p_(k-1), a row is kept as x with the
+    pivot s it was last divided by, its true entries x p_(k-1) / s: a zero-led
+    row drops its leading entry, the pivot row is brought up to date as
+    x p_(k-1) // s, and any other becomes (p_k x - x_0 y) // s, divided by p_k.
+    Each quotient is a minor, so every division is exact. The last pivot is
+    the determinant, negated once per odd move of a pivot row up."""
     n = len(a)
     if any(len(row) != n for row in a):
         raise DimensionMismatch("determinant of a non-square matrix")
     check_integers("determinant entries", *a)
-    rows, sign, prev = list(a), 1, 1
+    rows, sign, prev = [(row, 1) for row in a], 1, 1
     while rows:
-        k = next((i for i, row in enumerate(rows) if row[0]), None)
+        k = next((i for i, (row, _) in enumerate(rows) if row[0]), None)
         if k is None:
             return 0
-        prow = rows.pop(k)
-        p, tail = prow[0], prow[1:]
+        prow, s = rows.pop(k)
+        p, *tail = (x * prev // s for x in prow) if s != prev else prow
         sign = -sign if k % 2 else sign
-        rows = [[(p * x - row[0] * y) // prev for x, y in zip(row[1:], tail)]
-                if row[0] or p != prev else row[1:] for row in rows]
+        rows = [([(p * x - row[0] * y) // s for x, y in zip(row[1:], tail)], p)
+                if row[0] else (row[1:], s) for row, s in rows]
         prev = p
     return sign * prev
 
@@ -255,18 +258,14 @@ def _hermite(rows: list[list[int]], ncols: int) -> list[list[int]]:
 
 
 def _reduce(rows: list[list[int]], targets, prow: list[int], c: int) -> None:
-    """rows[i] -= (rows[i][c] // prow[c]) * prow for each i in targets. A
-    pivot row that is at least half zero updates each row in place at its
-    nonzero positions only; a denser one rebuilds the row."""
-    sparse = 2 * prow.count(0) >= len(prow)
-    nonzero = [(j, y) for j, y in enumerate(prow) if y] if sparse else None
+    """rows[i] -= (rows[i][c] // prow[c]) * prow for each i in targets, in
+    place at the nonzero positions of prow. Each q is computed first, and
+    those positions are listed once, for the first q that is not 0."""
+    p, nonzero = prow[c], None
     for i in targets:
-        q = rows[i][c] // prow[c]
-        if not q:
-            continue
-        if nonzero is None:
-            rows[i] = [x - q * y for x, y in zip(rows[i], prow)]
-        else:
+        if q := rows[i][c] // p:
+            if nonzero is None:
+                nonzero = [(j, y) for j, y in enumerate(prow) if y]
             row = rows[i]
             for j, y in nonzero:
                 row[j] -= q * y
@@ -340,8 +339,11 @@ def smith_normal_form(a: Matrix) -> SmithDecomposition:
     diagonal, its nonzero entries first; where d_i does not divide
     d_(i+1), column i+1 is added to column i and the loop goes on.
     """
-    m = len(a)
-    n = len(a[0]) if m else 0
+    a = freeze(a)
+    m, n = len(a), len(a[0]) if a else 0
+    if any(len(row) != n for row in a):
+        raise DimensionMismatch("Smith form rows must have equal length")
+    check_integers("Smith form entries", *a)
     d = [list(row) for row in a]
     left = [list(row) for row in identity(m)]
     right = [list(row) for row in identity(n)]

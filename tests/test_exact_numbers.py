@@ -42,6 +42,8 @@ BOUNDARIES = {
     "transpose_defect": (lambda x: transpose_defect(STD2, STD2, ((1, 0), (x, -1))),
                          f"matrix entries {RATIONALS}"),
     "bareiss_det": (lambda x: mo.bareiss_det(((1, 0), (0, x))), f"determinant entries {INTS}"),
+    "smith_normal_form": (lambda x: mo.smith_normal_form(((2, 4), (6, x))),
+                          f"Smith form entries {INTS}"),
     "TubePoint B": (lambda x: TubePoint(FULL_U, (x, 0), (1, 1)), f"B coordinates {RATIONALS}"),
     "TubePoint omega": (lambda x: TubePoint(FULL_U, (0, 0), (1, x)),
                         f"omega coordinates {RATIONALS}"),
@@ -87,6 +89,8 @@ NON_SEQUENCES = {
     "pairing": lambda: pairing(U, 5, (1, 0)),
     "divisibility": lambda: divisibility(FULL_U, None),
     "is_primitive": lambda: is_primitive(FULL_U, 5),
+    "smith_normal_form": lambda: mo.smith_normal_form(5),
+    "smith_normal_form int rows": lambda: mo.smith_normal_form((1, 2)),
 }
 
 
@@ -94,6 +98,13 @@ NON_SEQUENCES = {
 def test_non_sequence_is_refused(name):
     with pytest.raises(DimensionMismatch, match="^rows and vectors must be sequences$"):
         NON_SEQUENCES[name]()
+
+
+@pytest.mark.parametrize("a", [((1, 2), (3,)), ((1,), (2, 3)), ((), (1,))], ids=repr)
+def test_ragged_smith_form_is_refused(a):
+    # The transforms would be built for the first row's length.
+    with pytest.raises(DimensionMismatch, match="^Smith form rows must have equal length$"):
+        mo.smith_normal_form(a)
 
 
 @pytest.mark.parametrize("name", BOUNDARIES)

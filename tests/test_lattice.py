@@ -433,6 +433,10 @@ class TestHermiteKey:
         ((1, 0, 0, 0), (0, -1, 0, 0)),   # a negative pivot
         ((1, 2, 0, 0), (0, 2, 0, 0)),    # an entry above a pivot equal to it
         ((0, 1, 0, 1), (0, 1, 1, 0)),    # two rows with one leading column
+        ((1, 5, 0, 0), (0, 2, 0, 0)),    # an entry above a pivot beyond it
+        ((1, -1, 0, 0), (0, 2, 0, 0)),   # a negative entry above a pivot
+        ((0, 1, 0, 0), (1, 0, 0, 0)),    # pivots that decrease
+        ((0, 0, 1, 0), (0, 1, 0, 1)),    # pivots that decrease, not by one
     ])
     def test_near_hnf_bases_are_reduced(self, UU, rows):
         s = Sublattice(UU, rows)
@@ -440,6 +444,32 @@ class TestHermiteKey:
         assert s._hnf is not s.basis and s._hnf == mo.hermite_normal_form(rows)
         v = mo.add_vec(mo.scale_vec(3, rows[0]), mo.scale_vec(-2, rows[1]))
         assert coordinates_in(s, v) == (3, -2)
+
+    @pytest.mark.parametrize("rows", [
+        ((0, 0, 0, 0), (1, 0, 0, 0)),
+        ((1, 0, 0, 0), (0, 0, 0, 0)),
+        ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 0, 0)),
+        ((0, 0, 0, 0),),
+    ])
+    def test_zero_row_is_refused(self, UU, rows):
+        with pytest.raises(DimensionMismatch, match="linearly independent"):
+            Sublattice(UU, rows)
+
+    def test_hnf_bases_take_no_hermite_pass(self, K3, monkeypatch):
+        # integer_kernel and saturate return HNF bases, which the scan takes
+        # as their own keys; a basis out of HNF takes one _hermite pass.
+        m = ((1, 2, 0, 0, -1, 3) + (0,) * 16, (0, 1, 1, 0, 2, 0, -2) + (0,) * 15)
+        kernel = mo.integer_kernel(mo.mat_mul(m, K3.gram))
+        saturated = mo.saturate(mo.freeze(mo.scale_vec(2, row) for row in m), 22)
+        calls = []
+        hermite = mo._hermite
+        monkeypatch.setattr(mo, "_hermite", lambda *args: calls.append(1) or hermite(*args))
+        for basis in (kernel, saturated, mo.identity(22)):
+            s = Sublattice(K3, basis)
+            assert s._hnf is s.basis and s.basis == basis
+        assert calls == []
+        s = Sublattice(K3, (saturated[1], saturated[0]))
+        assert calls == [1] and s._hnf == saturated
 
     def test_kernel_basis_takes_the_triangular_path(self, K3, monkeypatch):
         # integer_kernel hands back its HNF rows without a second pass, and

@@ -8,7 +8,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from k3bv import (DimensionMismatch, IntegerLattice, K3BVError, Sublattice,
-                  SymplecticSpace, same_sublattice, transpose_defect)
+                  SymplecticSpace, direct_sum, e8_minus, hyperbolic_plane,
+                  same_sublattice, transpose_defect)
 from k3bv import matrixops as mo
 from k3bv.lattice import contains
 
@@ -79,6 +80,15 @@ def ref_det(a):
             f = rows[i][c] / rows[c][c]
             rows[i] = [x - f * y for x, y in zip(rows[i], rows[c])]
     return det
+
+
+# U(2) + U(3) + E8(-1)^2 + [[-2, 1], [1, 4]], 11% nonzero, with rows and
+# columns taken in the order 5i mod 22: many rows stay zero-led for several
+# steps under different pivots.
+_GRAM = direct_sum(direct_sum(direct_sum(hyperbolic_plane(2), hyperbolic_plane(3)),
+                              direct_sum(e8_minus(), e8_minus())),
+                   IntegerLattice(((-2, 1), (1, 4)))).gram
+SPARSE_GRAM = tuple(tuple(_GRAM[5 * i % 22][5 * j % 22] for j in range(22)) for i in range(22))
 
 
 # --- strategies --------------------------------------------------------------
@@ -201,6 +211,10 @@ class TestProduct:
     @example((((1,), (2,)), ((),)))
     @example((((0, 2, 0, -1), [3, 0, Fraction(1, 2), 0], (1, 1, 1, 0)),
               [[1, 0], (0, 1), [2, Fraction(-1, 3)], (1, 1)]))
+    # All-zero rows of b, used and unused; Fraction results, one of them 0.
+    @example((((1, 2, 3), (0, 4, 0)), ((0, 0), (5, -1), (0, 0))))
+    @example((((Fraction(1, 2), 0, 3), (0, 0, 0)),
+              ((Fraction(2, 3), 1), (0, 0), (1, Fraction(-1, 6)))))
     def test_matches_triple_sum(self, ab):
         a, b = ab
         out = mo.mat_mul(a, b)
@@ -327,6 +341,19 @@ class TestKernelAgainstReference:
     def test_det(self, a):
         assert mo.bareiss_det(a) == ref_det(a)
 
+    @pytest.mark.parametrize("a,det", [
+        # Row 1 stays zero-led under pivots 2 and 5, then is the pivot; rows
+        # 2 and 3 stay zero-led for two and three steps, then are updated.
+        (((2, -1, 0, -1, 1), (0, 0, 3, 0, 3), (0, 0, 2, 3, 0), (0, 0, 0, 1, 0),
+          (3, 1, 0, 0, 0)), -30),
+        # Row 2 stays zero-led under pivots 3, 6 and 12, then is the pivot.
+        (((0, 2, 2, 0, 0), (0, -1, 1, 3, 3), (0, 0, 0, 2, 3), (0, 0, 3, 0, 3),
+          (3, 1, 3, 0, 0)), 126),
+        (SPARSE_GRAM, -324),
+    ], ids=("two-steps", "three-steps", "sparse-gram"))
+    def test_det_of_rows_left_zero_led(self, a, det):
+        assert mo.bareiss_det(a) == ref_det(a) == det
+
     @pytest.mark.parametrize("a", [((Fraction(1, 2),),), ((1, 0), (0, Fraction(2))),
                                    ((1.0, 0), (0, 1)), ((0, 1), (1, "2"))])
     def test_det_rejects_non_int_entries(self, a):
@@ -416,9 +443,9 @@ class TestHermiteEquality:
         assert mo.hermite_normal_form(((0, -3), (0, 6))) == ((0, 3), (0, 0))
 
     def test_half_zero_pivot_rows(self):
-        # The first pivot row (2, 0, 3, 0) is exactly half zero and updates
-        # the rows below in place at its two nonzero positions; the second,
-        # (0, 1, -6, 5), is denser and rebuilds them. |det| = 2 * 1 * 2 * 55.
+        # The first pivot row (2, 0, 3, 0) updates the rows below in place
+        # at its two nonzero positions, the second, (0, 1, -6, 5), at its
+        # three. |det| = 2 * 1 * 2 * 55.
         a = ((2, 0, 3, 0), (4, 1, 0, 5), (6, 2, 1, 1), (0, 3, 0, 2))
         h = ((2, 0, 1, 32), (0, 1, 0, 19), (0, 0, 2, 23), (0, 0, 0, 55))
         assert mo.hermite_normal_form(a) == h
