@@ -16,8 +16,7 @@ from .domains import (PeriodVector, TubePoint, in_delta, in_period_domain,
 from .errors import (AdmissibilityError, CensusError, DimensionMismatch,
                      K3BVError, NormalizationError, NotInLattice,
                      SplittingError)
-from .hyperkahler import (RotationRow, RotationTable, UnitPhase, phase_rotate,
-                          rotation_table)
+from .hyperkahler import RotationRow, RotationTable, rotation_table
 from .involution import (LatticeInvolution, RealFiberType, SymplecticSpace,
                          invariant_sublattices, mirror_involution,
                          real_fiber_dual, reflection_through, transpose_defect)
@@ -30,7 +29,6 @@ from .leray import (Filtration, SpectralTable, TensorPeriod, bv_mirror_period,
                     bv_table, check_degeneration, elliptic_table,
                     filtration_dims, k3_table, recover_period_inputs,
                     swap_rows, y_betti)
-from .matrixops import SmithDecomposition, smith_normal_form
 from .mirror import AdmissiblePair, MirrorSplit, check_admissible, construct_mirror
 from .mirrormap import phi, phi_inverse
 

@@ -1,20 +1,19 @@
-"""The I/J/K rotation table of cohomology classes and phase rotation.
+"""The I/J/K rotation table of cohomology classes.
 
 I, J, K are labels on triples of classes, nothing more; the quaternionic
-endomorphisms themselves have no lattice home. Phases are rational
-points on the unit circle (Pythagorean pairs), keeping everything exact.
+endomorphisms themselves have no lattice home. Omega's phase freedom
+needs no code: phi_inverse divides Omega by Omega.E, so multiplying
+Omega by a phase does not change its output.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-
-from .errors import K3BVError, NormalizationError
+from .errors import NormalizationError
 from .lattice import IntegerLattice, pairing
-from .matrixops import Vector, check_rationals
+from .matrixops import Vector
 from .record import Record
 
-__all__ = ["RotationRow", "RotationTable", "UnitPhase", "rotation_table", "phase_rotate"]
+__all__ = ["RotationRow", "RotationTable", "rotation_table"]
 
 
 class RotationRow(Record):
@@ -29,22 +28,6 @@ class RotationTable(Record):
     i: RotationRow
     j: RotationRow
     k: RotationRow
-
-
-class UnitPhase(Record):
-    """cos + i*sin with c^2 + s^2 = 1 exactly."""
-
-    c: Fraction
-    s: Fraction
-
-    def __post_init__(self):
-        check_rationals("c and s", (self.c, self.s))
-        if self.c * self.c + self.s * self.s != 1:
-            raise K3BVError(f"({self.c})^2 + ({self.s})^2 != 1: not a unit phase")
-
-    def compose(self, other: "UnitPhase") -> "UnitPhase":
-        return UnitPhase(self.c * other.c - self.s * other.s,
-                         self.s * other.c + self.c * other.s)
 
 
 def rotation_table(omega_re: Vector, omega_im: Vector, kahler: Vector,
@@ -73,13 +56,3 @@ def rotation_table(omega_re: Vector, omega_im: Vector, kahler: Vector,
         j=RotationRow(w, re, im),
         k=RotationRow(im, w, re),
     )
-
-
-def phase_rotate(omega_re: Vector, omega_im: Vector, theta: UnitPhase) -> tuple[Vector, Vector]:
-    """Multiply Omega by the phase c + i*s: an exact rational rotation."""
-    if len(omega_re) != len(omega_im):
-        raise K3BVError("re and im parts have different lengths")
-    check_rationals("Omega coordinates", omega_re, omega_im)
-    new_re = tuple(theta.c * r - theta.s * i for r, i in zip(omega_re, omega_im))
-    new_im = tuple(theta.s * r + theta.c * i for r, i in zip(omega_re, omega_im))
-    return new_re, new_im

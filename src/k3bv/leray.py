@@ -9,6 +9,8 @@ The tensor period lives in the factored basis
 
 from __future__ import annotations
 
+from itertools import accumulate
+
 from . import matrixops as mo
 from .cnum import QC
 from .domains import TubePoint, in_tube
@@ -135,12 +137,9 @@ def check_degeneration(t: SpectralTable, betti) -> bool:
 def filtration_dims(t: SpectralTable, n: int) -> Filtration:
     """Filtration of total degree n: d_i = sum of E2^{n-j,j} for j <= i."""
     mo.check_integers("total degree", (n,))
-    running = 0
-    dims = []
-    for i in range(n + 1):
-        running += t.dimension(n - i, i)
-        dims.append(running)
-    return Filtration(tuple(dims))
+    if n < 0:
+        raise K3BVError(f"total degree must be >= 0, got {n}")
+    return Filtration(tuple(accumulate(t.dimension(n - i, i) for i in range(n + 1))))
 
 
 class TensorPeriod(Record):

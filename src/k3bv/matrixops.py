@@ -2,20 +2,21 @@
 
 Matrices are tuples of tuples (rows); vectors are tuples. Entries are
 exact: an int that is not a bool, or a fractions.Fraction; check_integers
-and check_rationals refuse anything else, even 2.0. One row Hermite
-normal form routine is the elimination kernel: ranks, solutions and
-inverses are read off the form of the denominator-cleared rows of
-[a | rhs] by one integer back-substitution, a Fraction is built only for
-a result, and integer kernels and the Smith normal form come from it too.
-A saturation is one form of the columns, with no transform carried, and
-an exact forward substitution. Kernel and saturation bases come back in
-that form, a kernel from one pass over [a^T | I]. Lattice equality
-compares Hermite normal forms. A determinant eliminates forward only.
-Ranks in this package never exceed 22. Zeros cost nothing: a product
-reads a and the used rows of b by their nonzeros, a Hermite step updates
-rows in place at the nonzeros of the pivot row when their quotient is not
-0, a determinant leaves zero-led rows unscaled, and mat_vec_pair applies a
-matrix, kept as its nonzeros, to two vectors in one pass.
+and check_rationals refuse anything else, even 2.0. exact_matrix also
+refuses ragged rows and non-sequences: through it hermite_normal_form,
+integer_kernel and smith_normal_form take integers, and mat_vec and
+solve_rational exact rationals. bareiss_det takes a square integer matrix;
+the other functions trust their callers. One row Hermite normal form
+routine is the elimination kernel: ranks, solutions and inverses are read
+off the form of the denominator-cleared rows of [a | rhs] by one integer
+back-substitution, a Fraction is built only for a result, and integer
+kernels, saturations and the Smith normal form come from it too; kernel
+and saturation bases come back in that form, which lattice equality
+compares. Ranks in this package never exceed 22. Zeros cost nothing: a
+product reads a and the used rows of b by their nonzeros, a Hermite step
+updates rows in place at the nonzeros of the pivot row when their quotient
+is not 0, a determinant leaves zero-led rows unscaled, and mat_vec_pair
+applies a matrix, kept as its nonzeros, to two vectors in one pass.
 """
 
 from __future__ import annotations
@@ -51,6 +52,15 @@ def freeze(rows) -> Matrix:
         raise DimensionMismatch("rows and vectors must be sequences") from None
 
 
+def exact_matrix(what: str, a, check=check_integers) -> Matrix:
+    """a frozen, once its rows have equal length and its entries pass check."""
+    a = freeze(a)
+    if len(set(map(len, a))) > 1:
+        raise DimensionMismatch(f"{what} rows must have equal length")
+    check(f"{what} entries", *a)
+    return a
+
+
 def identity(n: int) -> Matrix:
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 
@@ -82,6 +92,8 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
 
 
 def mat_vec(a: Matrix, v: Vector) -> Vector:
+    a = exact_matrix("matrix", a, check_rationals)
+    (v,) = exact_matrix("vector", (v,), check_rationals)
     if a and len(a[0]) != len(v):
         raise DimensionMismatch(f"matrix has {len(a[0])} columns, vector has {len(v)}")
     return tuple(sum(map(mul, row, v)) for row in a)
@@ -215,6 +227,8 @@ def solve_rational(a: Matrix, b: Vector) -> Vector | None:
 
     `a` is m x n acting on column vectors; free variables are set to 0.
     """
+    a = exact_matrix("system", a, check_rationals)
+    (b,) = exact_matrix("right-hand side", (b,), check_rationals)
     solved = _solve(a, ((x,) for x in b))
     if solved is None:
         return None
@@ -275,6 +289,7 @@ def hermite_normal_form(a: Matrix) -> Matrix:
     """Row Hermite normal form of an integer matrix, from one _hermite pass.
     Two matrices generate the same lattice exactly when their forms agree
     (Cohen, Sec. 2.4.2)."""
+    a = exact_matrix("Hermite form", a)
     return freeze(_hermite([list(row) for row in a], len(a[0]) if a else 0))
 
 
@@ -284,6 +299,7 @@ def integer_kernel(a: Matrix) -> Matrix:
     the rows with zero left part (Cohen, Sec. 2.4.3); their right parts
     are echelon, with positive pivots and reduced entries above them, so
     by uniqueness they are already the kernel's HNF."""
+    a = exact_matrix("kernel matrix", a)
     m, n = len(a), len(a[0]) if a else 0
     rows = _hermite([[row[j] for row in a] + [int(i == j) for i in range(n)]
                      for j in range(n)], m + n)
@@ -308,7 +324,7 @@ def saturate(rows: Matrix, n: int) -> Matrix:
             if f := hk[c]:
                 v = [x - f * y for x, y in zip(v, wk)]
         w.append([x // hrow[c] for x in v])
-    return hermite_normal_form(freeze(w))
+    return freeze(_hermite(w, n))
 
 
 class SmithDecomposition(Record):
@@ -339,11 +355,8 @@ def smith_normal_form(a: Matrix) -> SmithDecomposition:
     diagonal, its nonzero entries first; where d_i does not divide
     d_(i+1), column i+1 is added to column i and the loop goes on.
     """
-    a = freeze(a)
+    a = exact_matrix("Smith form", a)
     m, n = len(a), len(a[0]) if a else 0
-    if any(len(row) != n for row in a):
-        raise DimensionMismatch("Smith form rows must have equal length")
-    check_integers("Smith form entries", *a)
     d = [list(row) for row in a]
     left = [list(row) for row in identity(m)]
     right = [list(row) for row in identity(n)]

@@ -87,7 +87,7 @@ def check_admissible(t: Sublattice, e: Vector, e_prime: Vector, m: int) -> Admis
     (e, d), (e_prime, d_prime) = (mo.clear_denominators(lat.check_vector(v)) for v in (e, e_prime))
     if d * d_prime != 1:
         raise NotInLattice("E and E' must be integer vectors of T")
-    ge, gep = mo.mat_vec(lat.gram, e), mo.mat_vec(lat.gram, e_prime)
+    ge, gep = mo.mat_mul((e, e_prime), lat.gram)  # E G = G E, as G is symmetric
     ee = mo.dot(e, ge)
     if ee != 0:
         raise AdmissibilityError(f"E is not isotropic: E.E = {ee}")

@@ -8,10 +8,9 @@ import pytest
 
 from k3bv import (BasePoint, BVData, DimensionMismatch, IntegerLattice,
                   LatticeInvolution, PeriodVector, Sublattice, SymplecticSpace,
-                  TubePoint, UnitPhase, bv_mirror_period, bv_table, check_admissible,
+                  TubePoint, bv_mirror_period, bv_table, check_admissible,
                   coordinates_in, divisibility, hyperbolic_plane, is_primitive,
-                  pairing, phase_rotate,
-                  rotation_table, transpose_defect, y_betti)
+                  pairing, rotation_table, transpose_defect, y_betti)
 from k3bv import matrixops as mo
 from k3bv.cnum import QC
 
@@ -44,6 +43,16 @@ BOUNDARIES = {
     "bareiss_det": (lambda x: mo.bareiss_det(((1, 0), (0, x))), f"determinant entries {INTS}"),
     "smith_normal_form": (lambda x: mo.smith_normal_form(((2, 4), (6, x))),
                           f"Smith form entries {INTS}"),
+    "hermite_normal_form": (lambda x: mo.hermite_normal_form(((2, 4), (6, x))),
+                            f"Hermite form entries {INTS}"),
+    "integer_kernel": (lambda x: mo.integer_kernel(((1, 2), (3, x))),
+                       f"kernel matrix entries {INTS}"),
+    "solve_rational a": (lambda x: mo.solve_rational(((1, x),), (1,)),
+                         f"system entries {RATIONALS}"),
+    "solve_rational b": (lambda x: mo.solve_rational(((1, 0),), (x,)),
+                         f"right-hand side entries {RATIONALS}"),
+    "mat_vec a": (lambda x: mo.mat_vec(((1, x),), (1, 1)), f"matrix entries {RATIONALS}"),
+    "mat_vec v": (lambda x: mo.mat_vec(((1, 2),), (x, 1)), f"vector entries {RATIONALS}"),
     "TubePoint B": (lambda x: TubePoint(FULL_U, (x, 0), (1, 1)), f"B coordinates {RATIONALS}"),
     "TubePoint omega": (lambda x: TubePoint(FULL_U, (0, 0), (1, x)),
                         f"omega coordinates {RATIONALS}"),
@@ -51,11 +60,8 @@ BOUNDARIES = {
                      f"re coordinates {RATIONALS}"),
     "QC": (lambda x: QC(x, 1), f"real and imaginary parts {RATIONALS}"),
     "BasePoint": (lambda x: BasePoint(1, 0, x, 1, 0), f"base point coordinates {RATIONALS}"),
-    "UnitPhase": (lambda x: UnitPhase(1, x), f"c and s {RATIONALS}"),
     "rotation_table": (lambda x: rotation_table((1, x, 0), (0, 1, 0), (0, 0, 1), I3),
                        f"vector entries {RATIONALS}"),
-    "phase_rotate": (lambda x: phase_rotate((1, x), (0, 1), UnitPhase(1, 0)),
-                     f"Omega coordinates {RATIONALS}"),
     "bv_mirror_period": (lambda x: bv_mirror_period(TubePoint(FULL_U, (0, 0), (1, 1)), (x, 1)),
                          f"real and imaginary parts {RATIONALS}"),
     "BVData": (lambda x: BVData(2, x), f"N and N' {INTS}"),
@@ -91,6 +97,12 @@ NON_SEQUENCES = {
     "is_primitive": lambda: is_primitive(FULL_U, 5),
     "smith_normal_form": lambda: mo.smith_normal_form(5),
     "smith_normal_form int rows": lambda: mo.smith_normal_form((1, 2)),
+    "hermite_normal_form": lambda: mo.hermite_normal_form(5),
+    "integer_kernel int rows": lambda: mo.integer_kernel((1, 2)),
+    "solve_rational": lambda: mo.solve_rational(5, (1,)),
+    "solve_rational b": lambda: mo.solve_rational(((1, 0),), 5),
+    "mat_vec int rows": lambda: mo.mat_vec((1, 2), (1,)),
+    "mat_vec v": lambda: mo.mat_vec(((1, 0),), None),
 }
 
 
@@ -100,11 +112,24 @@ def test_non_sequence_is_refused(name):
         NON_SEQUENCES[name]()
 
 
+# name -> (the function, the name its error gives its matrix).
+MATRIX_INPUTS = {
+    "smith_normal_form": (mo.smith_normal_form, "Smith form"),
+    "hermite_normal_form": (mo.hermite_normal_form, "Hermite form"),
+    "integer_kernel": (mo.integer_kernel, "kernel matrix"),
+    "solve_rational": (lambda a: mo.solve_rational(a, (1, 1)), "system"),
+    "mat_vec": (lambda a: mo.mat_vec(a, (1, 1)), "matrix"),
+}
+
+
+@pytest.mark.parametrize("name", MATRIX_INPUTS)
 @pytest.mark.parametrize("a", [((1, 2), (3,)), ((1,), (2, 3)), ((), (1,))], ids=repr)
-def test_ragged_smith_form_is_refused(a):
-    # The transforms would be built for the first row's length.
-    with pytest.raises(DimensionMismatch, match="^Smith form rows must have equal length$"):
-        mo.smith_normal_form(a)
+def test_ragged_rows_are_refused(name, a):
+    # Each would take the first row's length for every row's, and drop, pad
+    # or misplace the other rows' entries or fail on an index.
+    call, what = MATRIX_INPUTS[name]
+    with pytest.raises(DimensionMismatch, match=f"^{what} rows must have equal length$"):
+        call(a)
 
 
 @pytest.mark.parametrize("name", BOUNDARIES)
@@ -123,5 +148,4 @@ def test_exact_values_pass_through_unchanged():
     half = Fraction(1, 2)
     p = TubePoint(FULL_U, (half, 1), (1, 1))
     assert p.b[0] is half and type(p.b[1]) is int
-    assert type(UnitPhase(0, -1).c) is int
 

@@ -1,12 +1,8 @@
-"""Rotation table of cohomology classes and exact phase rotation."""
-
-from fractions import Fraction
+"""Rotation table of cohomology classes."""
 
 import pytest
-from hypothesis import given, strategies as st
 
-from k3bv import (K3BVError, NormalizationError, UnitPhase, direct_sum,
-                  hyperbolic_plane, pairing, phase_rotate, rotation_table)
+from k3bv import NormalizationError, direct_sum, hyperbolic_plane, pairing, rotation_table
 
 
 def u3():
@@ -54,58 +50,3 @@ class TestRotationTable:
         original = rotation_table(RE, IM, W, u3())
         permuted = rotation_table(IM, W, RE, u3())
         assert permuted.k == original.j
-
-
-class TestUnitPhase:
-    def test_rejects_non_unit(self):
-        with pytest.raises(K3BVError):
-            UnitPhase(Fraction(1, 2), Fraction(1, 2))
-
-    def test_pythagorean(self):
-        theta = UnitPhase(Fraction(3, 5), Fraction(4, 5))
-        assert theta.compose(theta).c == Fraction(-7, 25)
-
-
-class TestPhaseRotate:
-    def test_identity_phase(self):
-        re, im = phase_rotate(RE, IM, UnitPhase(1, 0))
-        assert re == RE and im == IM
-
-    def test_multiplication_by_i(self):
-        re, im = phase_rotate(RE, IM, UnitPhase(0, 1))
-        assert re == tuple(-x for x in IM)
-        assert im == RE
-
-    def test_three_four_five(self):
-        theta = UnitPhase(Fraction(3, 5), Fraction(4, 5))
-        re, im = phase_rotate(RE, IM, theta)
-        lat = u3()
-        assert re == tuple(Fraction(3, 5) * r - Fraction(4, 5) * i
-                           for r, i in zip(RE, IM))
-        assert pairing(lat, re, re) == pairing(lat, im, im) == 2
-        assert pairing(lat, re, im) == 0
-
-
-@st.composite
-def unit_phases(draw):
-    # Rational points on the circle from the tangent half-angle map.
-    t = draw(st.fractions(min_value=-10, max_value=10))
-    d = 1 + t * t
-    return UnitPhase((1 - t * t) / d, 2 * t / d)
-
-
-@given(unit_phases(), unit_phases())
-def test_phase_rotation_is_a_group_action(t1, t2):
-    re1, im1 = phase_rotate(RE, IM, t1)
-    re12, im12 = phase_rotate(re1, im1, t2)
-    re_c, im_c = phase_rotate(RE, IM, t1.compose(t2))
-    assert re12 == re_c and im12 == im_c
-
-
-@given(unit_phases())
-def test_phase_rotation_preserves_norms(theta):
-    lat = u3()
-    re, im = phase_rotate(RE, IM, theta)
-    assert pairing(lat, re, re) == pairing(lat, im, im)
-    assert pairing(lat, re, im) == 0
-    assert pairing(lat, re, re) + pairing(lat, im, im) == 4

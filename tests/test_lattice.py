@@ -12,9 +12,10 @@ from hypothesis import given, settings, strategies as st
 from k3bv import (DimensionMismatch, IntegerLattice, NotInLattice, Sublattice,
                   det_and_signature, direct_sum, divisibility, e8_minus,
                   hyperbolic_plane, is_primitive, k3_lattice, orthogonal_complement,
-                  pairing, same_sublattice, saturation, smith_normal_form)
+                  pairing, same_sublattice, saturation)
 from k3bv.lattice import contains, coordinates_in, is_saturated
 from k3bv import matrixops as mo
+from k3bv.matrixops import smith_normal_form
 
 E = (1, 0)
 F = (0, 1)

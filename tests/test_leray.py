@@ -96,6 +96,10 @@ class TestFiltration:
         with pytest.raises(K3BVError):
             Filtration((2, 1))
 
+    def test_negative_degree_is_named(self):
+        with pytest.raises(K3BVError, match="^total degree must be >= 0, got -1$"):
+            filtration_dims(k3_table(), -1)
+
 
 @pytest.mark.parametrize("call", [
     lambda: filtration_dims(k3_table(), -1).quotients(),
