@@ -114,7 +114,8 @@ def invariant_sublattices(rho: LatticeInvolution) -> tuple[Sublattice, Sublattic
     cols = mo.transpose(rho.matrix)
     shifted = ([col[:i] + (col[i] + s,) + col[i + 1:] for i, col in enumerate(cols)]
                for s in (1, -1))
-    return tuple(Sublattice(rho.lattice, mo.saturate(a, rho.lattice.rank)) for a in shifted)
+    return tuple(Sublattice._from_hnf(rho.lattice, mo.saturate(a, rho.lattice.rank))
+                 for a in shifted)
 
 
 def reflection_through(p_in_l: Sublattice) -> Matrix:

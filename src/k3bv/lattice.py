@@ -101,8 +101,17 @@ class Sublattice(Record):
         object.__setattr__(self, "_hnf", hnf)
 
     @classmethod
+    def _from_hnf(cls, ambient: IntegerLattice, basis: Matrix) -> "Sublattice":
+        """Unchecked: basis must be a frozen int row HNF of ambient-rank rows,
+        none zero, as integer_kernel, saturate and identity return; it is its
+        own key."""
+        self = object.__new__(cls)
+        self.__dict__.update(ambient=ambient, basis=basis, _hnf=basis)
+        return self
+
+    @classmethod
     def full(cls, lattice: IntegerLattice) -> "Sublattice":
-        return cls(lattice, mo.identity(lattice.rank))
+        return cls._from_hnf(lattice, mo.identity(lattice.rank))
 
     @property
     def rank(self) -> int:
@@ -182,15 +191,13 @@ def orthogonal_complement(s: Sublattice) -> Sublattice:
     whole ambient as its complement."""
     if not s.basis:
         return Sublattice.full(s.ambient)
-    a = mo.mat_mul(s.basis, s.ambient.gram)
-    kernel = mo.integer_kernel(a)
-    return Sublattice(s.ambient, kernel)
+    return Sublattice._from_hnf(s.ambient, mo.integer_kernel(mo.mat_mul(s.basis, s.ambient.gram)))
 
 
 def saturation(s: Sublattice) -> Sublattice:
     """Smallest primitive sublattice with the same rational span, with its
     basis in Hermite normal form."""
-    return Sublattice(s.ambient, mo.saturate(s.basis, s.ambient.rank))
+    return Sublattice._from_hnf(s.ambient, mo.saturate(s.basis, s.ambient.rank))
 
 
 def is_saturated(s: Sublattice) -> bool:

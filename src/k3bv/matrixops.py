@@ -4,24 +4,30 @@ Matrices are tuples of tuples (rows); vectors are tuples. Entries are
 exact: an int that is not a bool, or a fractions.Fraction; check_integers
 and check_rationals refuse anything else, even 2.0. exact_matrix also
 refuses ragged rows and non-sequences: through it hermite_normal_form,
-integer_kernel and smith_normal_form take integers, and mat_vec and
-solve_rational exact rationals. bareiss_det takes a square integer matrix;
-the other functions trust their callers. One row Hermite normal form
-routine is the elimination kernel: ranks, solutions and inverses are read
-off the form of the denominator-cleared rows of [a | rhs] by one integer
-back-substitution, a Fraction is built only for a result, and integer
-kernels, saturations and the Smith normal form come from it too; kernel
-and saturation bases come back in that form, which lattice equality
-compares. Ranks in this package never exceed 22. Zeros cost nothing: a
-product reads a and the used rows of b by their nonzeros, a Hermite step
-updates rows in place at the nonzeros of the pivot row when their quotient
-is not 0, a determinant leaves zero-led rows unscaled, and mat_vec_pair
-applies a matrix, kept as its nonzeros, to two vectors in one pass.
+integer_kernel, smith_normal_form and integer_inverse take integers, and
+mat_vec, solve_rational, rational_inverse and rank_rational exact
+rationals. transpose (so vec_mat) refuses ragged rows, bareiss_det takes
+a square integer matrix, and the rest trust their callers: mat_mul, dot,
+add_vec, scale_vec, nonzeros, mat_vec_pair and _inverse on every hot
+path, as lattice.Sublattice._from_hnf trusts its basis to be a frozen int
+row HNF with no zero row, from integer_kernel, saturate or the cached
+identity. One row Hermite normal form routine is the elimination kernel:
+ranks, solutions and inverses are read off the form of the
+denominator-cleared rows of [a | rhs] by one integer back-substitution, a
+Fraction is built only for a result, and integer kernels, saturations and
+the Smith normal form come from it too; kernel and saturation bases come
+back in that form, which lattice equality compares. Ranks in this package
+never exceed 22. Zeros cost nothing: a product reads a and the used rows
+of b by their nonzeros, a Hermite step updates rows in place at the
+nonzeros of the pivot row when their quotient is not 0, a determinant
+leaves zero-led rows unscaled, and mat_vec_pair applies a matrix, kept as
+its nonzeros, to two vectors in one pass.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from itertools import chain, compress
 from math import gcd, lcm, prod
 from operator import mul
@@ -61,6 +67,7 @@ def exact_matrix(what: str, a, check=check_integers) -> Matrix:
     return a
 
 
+@cache
 def identity(n: int) -> Matrix:
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 
@@ -70,9 +77,10 @@ def zeros(m: int, n: int) -> Matrix:
 
 
 def transpose(a: Matrix) -> Matrix:
-    if not a:
-        return ()
-    return tuple(zip(*a))
+    try:
+        return tuple(zip(*a, strict=True))
+    except ValueError:
+        raise DimensionMismatch("matrix rows must have equal length") from None
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
@@ -209,14 +217,14 @@ def _inverse(a: Matrix) -> tuple[list[list[int]], int]:
 
 def rational_inverse(a: Matrix) -> Matrix:
     """Inverse over Q; raises on singular input."""
-    y, d = _inverse(a)
+    y, d = _inverse(exact_matrix("inverse matrix", a, check_rationals))
     return freeze((Fraction(x, d) for x in row) for row in y)
 
 
 def integer_inverse(a: Matrix) -> Matrix:
     """Inverse of a unimodular integer matrix, returned over Z: with d = 1
     the Hermite form of a is I, and Y is its transform."""
-    y, d = _inverse(a)
+    y, d = _inverse(exact_matrix("inverse matrix", a))
     if d != 1:
         raise DimensionMismatch("matrix is not unimodular")
     return freeze(y)
@@ -240,6 +248,7 @@ def solve_rational(a: Matrix, b: Vector) -> Vector | None:
 
 
 def rank_rational(a: Matrix) -> int:
+    a = exact_matrix("rank matrix", a, check_rationals)
     return len(_solve(a, ((),) * len(a))[0])
 
 
@@ -295,15 +304,15 @@ def hermite_normal_form(a: Matrix) -> Matrix:
 
 def integer_kernel(a: Matrix) -> Matrix:
     """Basis (rows) of {v in Z^n : a v = 0}, saturated, in Hermite normal
-    form. One _hermite pass over all m + n columns of [a^T | I] ends in
-    the rows with zero left part (Cohen, Sec. 2.4.3); their right parts
-    are echelon, with positive pivots and reduced entries above them, so
-    by uniqueness they are already the kernel's HNF."""
+    form. A _hermite pass over the m left columns of [a^T | I] ends in the
+    rows with zero left part, whose right parts are a basis of the kernel
+    (Cohen, Sec. 2.4.3); a second pass over those right parts alone gives
+    its HNF, so the rank rows are not reduced at the kernel's pivots."""
     a = exact_matrix("kernel matrix", a)
     m, n = len(a), len(a[0]) if a else 0
     rows = _hermite([[row[j] for row in a] + [int(i == j) for i in range(n)]
-                     for j in range(n)], m + n)
-    return freeze(row[m:] for row in rows if not any(row[:m]))
+                     for j in range(n)], m)
+    return freeze(_hermite([row[m:] for row in rows if not any(row[:m])], n))
 
 
 def saturate(rows: Matrix, n: int) -> Matrix:

@@ -47,6 +47,11 @@ BOUNDARIES = {
                             f"Hermite form entries {INTS}"),
     "integer_kernel": (lambda x: mo.integer_kernel(((1, 2), (3, x))),
                        f"kernel matrix entries {INTS}"),
+    "integer_inverse": (lambda x: mo.integer_inverse(((1, 0), (x, 1))),
+                        f"inverse matrix entries {INTS}"),
+    "rational_inverse": (lambda x: mo.rational_inverse(((1, 0), (x, 1))),
+                         f"inverse matrix entries {RATIONALS}"),
+    "rank_rational": (lambda x: mo.rank_rational(((1, x),)), f"rank matrix entries {RATIONALS}"),
     "solve_rational a": (lambda x: mo.solve_rational(((1, x),), (1,)),
                          f"system entries {RATIONALS}"),
     "solve_rational b": (lambda x: mo.solve_rational(((1, 0),), (x,)),
@@ -119,6 +124,11 @@ MATRIX_INPUTS = {
     "integer_kernel": (mo.integer_kernel, "kernel matrix"),
     "solve_rational": (lambda a: mo.solve_rational(a, (1, 1)), "system"),
     "mat_vec": (lambda a: mo.mat_vec(a, (1, 1)), "matrix"),
+    "transpose": (mo.transpose, "matrix"),
+    "vec_mat": (lambda a: mo.vec_mat((1, 1), a), "matrix"),
+    "integer_inverse": (mo.integer_inverse, "inverse matrix"),
+    "rational_inverse": (mo.rational_inverse, "inverse matrix"),
+    "rank_rational": (mo.rank_rational, "rank matrix"),
 }
 
 

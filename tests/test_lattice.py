@@ -11,11 +11,13 @@ from hypothesis import given, settings, strategies as st
 
 from k3bv import (DimensionMismatch, IntegerLattice, NotInLattice, Sublattice,
                   det_and_signature, direct_sum, divisibility, e8_minus,
-                  hyperbolic_plane, is_primitive, k3_lattice, orthogonal_complement,
-                  pairing, same_sublattice, saturation)
+                  hyperbolic_plane, invariant_sublattices, is_primitive, k3_lattice,
+                  orthogonal_complement, pairing, same_sublattice, saturation)
 from k3bv.lattice import contains, coordinates_in, is_saturated
 from k3bv import matrixops as mo
 from k3bv.matrixops import smith_normal_form
+
+from conftest import reflection_conjugates
 
 E = (1, 0)
 F = (0, 1)
@@ -457,8 +459,9 @@ class TestHermiteKey:
             Sublattice(UU, rows)
 
     def test_hnf_bases_take_no_hermite_pass(self, K3, monkeypatch):
-        # integer_kernel and saturate return HNF bases, which the scan takes
-        # as their own keys; a basis out of HNF takes one _hermite pass.
+        # Handed to the public constructor, the HNF bases that integer_kernel,
+        # saturate and identity return pass its scan as their own keys with
+        # no _hermite call; a basis out of HNF takes one _hermite pass.
         m = ((1, 2, 0, 0, -1, 3) + (0,) * 16, (0, 1, 1, 0, 2, 0, -2) + (0,) * 15)
         kernel = mo.integer_kernel(mo.mat_mul(m, K3.gram))
         saturated = mo.saturate(mo.freeze(mo.scale_vec(2, row) for row in m), 22)
@@ -473,8 +476,8 @@ class TestHermiteKey:
         assert calls == [1] and s._hnf == saturated
 
     def test_kernel_basis_takes_the_triangular_path(self, K3, monkeypatch):
-        # integer_kernel hands back its HNF rows without a second pass, and
-        # the complement's basis is then its own key.
+        # integer_kernel hands back HNF rows, which orthogonal_complement
+        # keeps as its basis and its key, so coordinates go pivot by pivot.
         comp = orthogonal_complement(Sublattice(K3, (mo.identity(22)[0],)))
         assert comp._hnf is comp.basis
 
@@ -484,6 +487,28 @@ class TestHermiteKey:
         monkeypatch.setattr(mo, "solve_rational", no_solve)
         x = tuple(range(-10, 11))
         assert coordinates_in(comp, mo.vec_mat(x, comp.basis)) == x
+
+    @settings(max_examples=20, deadline=None)
+    @given(k3_sublattices(), reflection_conjugates())
+    def test_library_hnf_results_take_no_checks(self, s, rho):
+        # orthogonal_complement, saturation and invariant_sublattices build
+        # their HNF bases through Sublattice._from_hnf. integer_kernel checks
+        # its input through exact_matrix, whose check was bound at import, so
+        # the counter sees only the calls made by name, as Sublattice makes.
+        calls = []
+        with pytest.MonkeyPatch.context() as mp:
+            for name in ("hermite_normal_form", "check_integers"):
+                original = getattr(mo, name)
+                mp.setattr(mo, name, lambda *args, f=original, name=name:
+                           calls.append(name) or f(*args))
+            results = (orthogonal_complement(s), saturation(s), *invariant_sublattices(rho))
+            assert calls == []
+            for r in results:
+                public = Sublattice(r.ambient, r.basis)
+                assert r._hnf is r.basis and public._hnf is public.basis
+                assert public == r and hash(public) == hash(r)
+        # The public constructor checks each basis and finds it in HNF.
+        assert calls == ["check_integers"] * len(results)
 
     def test_induced_lattice_is_cached(self, UU):
         s = Sublattice(UU, ((1, 1, 0, 0), (0, 0, 1, -1)))

@@ -510,16 +510,17 @@ class TestHermiteKernels:
         assert snf_is_trivial(k)
 
     @given(matrices(entries=ints))
-    def test_one_pass_kernel_is_the_two_pass_form(self, a):
-        # The reference eliminates only the m columns of a^T and then takes
-        # the HNF of the kernel rows in a second pass; one pass over all
-        # m + n columns must give the same rows, by uniqueness of the HNF.
+    def test_two_pass_kernel_is_the_one_pass_form(self, a):
+        # The reference is one _hermite pass over all m + n columns of
+        # [a^T | I]: the right parts of its rows with zero left part are
+        # echelon and reduced, so they are the kernel's HNF. integer_kernel
+        # eliminates only the m columns of a^T and then takes the HNF of the
+        # kernel rows in a second pass; by uniqueness the rows must agree.
         m, n = len(a), ncols(a)
         rows = mo._hermite([[row[j] for row in a] + list(e)
-                            for j, e in enumerate(mo.identity(n))], m)
-        two_pass = mo.hermite_normal_form(tuple(tuple(row[m:]) for row in rows
-                                                if not any(row[:m])))
-        assert mo.integer_kernel(a) == two_pass
+                            for j, e in enumerate(mo.identity(n))], m + n)
+        one_pass = tuple(tuple(row[m:]) for row in rows if not any(row[:m]))
+        assert mo.integer_kernel(a) == one_pass
         h = mo.hermite_normal_form(a)
         assert mo.hermite_normal_form(h) == h
 
