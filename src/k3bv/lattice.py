@@ -93,7 +93,7 @@ class Sublattice(Record):
         for i, row in enumerate(b):
             c = next((j for j, x in enumerate(row) if x), -1)
             if c <= last or row[c] < 0 or not all(0 <= r[c] < row[c] for r in b[:i]):
-                hnf = mo.hermite_normal_form(b)
+                hnf = mo.freeze(mo._hermite([list(row) for row in b], n))
                 if not any(hnf[-1]):
                     raise DimensionMismatch("generator rows must be linearly independent over Q")
                 break

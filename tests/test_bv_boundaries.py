@@ -3,14 +3,15 @@ K3BVError: the (N, N') formulas take only a BVData, a census only a
 sequence of FiberRecords, the elliptic factor only a pair (B2, omega2), a
 tensor period only (key, QC coefficient) pairs with keys on
 {E, E', m_0 .. m_{r-1}} x {s_x, s_y} and r an exact int >= 1, and the
-tube point and period records only a Sublattice."""
+tube point, period and admissible-pair records only a Sublattice, and a
+mirror split only an AdmissiblePair."""
 
 import pytest
 
-from k3bv import (BVData, FiberCensus, FiberRecord, K3BVError, KodairaType, QC,
-                  PeriodVector, SelfMirrorLocus, Sublattice, TensorPeriod, TubePoint,
-                  bv_mirror_period, euler_characteristic, hodge_numbers,
-                  hyperbolic_plane, mirror_swap)
+from k3bv import (AdmissiblePair, BVData, FiberCensus, FiberRecord, K3BVError,
+                  KodairaType, MirrorSplit, QC, PeriodVector, SelfMirrorLocus, Sublattice,
+                  TensorPeriod, TubePoint, bv_mirror_period, construct_mirror,
+                  euler_characteristic, hodge_numbers, hyperbolic_plane, mirror_swap)
 
 P1 = TubePoint(Sublattice.full(hyperbolic_plane(1)), (0, 0), (1, 1))
 NON_FIXED = (FiberRecord(KodairaType.I1, False),) * 24  # a valid census for (1, 1)
@@ -37,6 +38,10 @@ CASES = {
     "TensorPeriod str coefficient": lambda: TensorPeriod(((("E'", "s_x"), "1"),), 1),
     "TubePoint int lattice": lambda: TubePoint(5, (1,), (1,)),
     "PeriodVector None lattice": lambda: PeriodVector(None, (1,), (1,)),
+    "AdmissiblePair IntegerLattice t": lambda: AdmissiblePair(
+        hyperbolic_plane(1), (1, 0), (0, 1), 1),
+    "MirrorSplit str pair": lambda: MirrorSplit("x"),
+    "construct_mirror str pair": lambda: construct_mirror("x"),
 }
 
 

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from k3bv import (BasePoint, BVData, DimensionMismatch, IntegerLattice,
+from k3bv import (AdmissiblePair, BasePoint, BVData, DimensionMismatch, IntegerLattice,
                   LatticeInvolution, PeriodVector, Sublattice, SymplecticSpace,
                   TubePoint, bv_mirror_period, bv_table, check_admissible,
                   coordinates_in, divisibility, hyperbolic_plane, is_primitive,
@@ -34,6 +34,10 @@ BOUNDARIES = {
                            f"vector entries {RATIONALS}"),
     "check_admissible E'": (lambda x: check_admissible(FULL_UU, (1, 0, 0, 0), (x, 1, 0, 0), 1),
                             f"vector entries {RATIONALS}"),
+    "AdmissiblePair E": (lambda x: AdmissiblePair(FULL_UU, (1, x, 0, 0), (0, 1, 0, 0), 1),
+                         f"vector entries {RATIONALS}"),
+    "AdmissiblePair E'": (lambda x: AdmissiblePair(FULL_UU, (1, 0, 0, 0), (x, 1, 0, 0), 1),
+                          f"vector entries {RATIONALS}"),
     "LatticeInvolution": (lambda x: LatticeInvolution(U, ((0, 1), (1, x))),
                           f"involution entries {INTS}"),
     "SymplecticSpace": (lambda x: SymplecticSpace(((x, 1), (-1, 0))),
@@ -72,11 +76,14 @@ BOUNDARIES = {
     "BVData": (lambda x: BVData(2, x), f"N and N' {INTS}"),
     "check_admissible m": (lambda x: check_admissible(FULL_UU, (1, 0, 0, 0), (0, 1, 0, 0), x),
                            f"m {INTS}"),
+    "AdmissiblePair m": (lambda x: AdmissiblePair(FULL_UU, (1, 0, 0, 0), (0, 1, 0, 0), x),
+                         f"m {INTS}"),
     "hyperbolic_plane": (lambda x: hyperbolic_plane(x), f"m {INTS}"),
     "bv_table": (lambda x: bv_table(x), f"rank of M {INTS}"),
     "y_betti": (lambda x: y_betti(x), f"rank of M {INTS}"),
 }
-INTEGER_PLACES = ("check_admissible m", "hyperbolic_plane", "bv_table", "y_betti")
+INTEGER_PLACES = ("check_admissible m", "AdmissiblePair m", "hyperbolic_plane", "bv_table",
+                  "y_betti")
 
 
 @pytest.mark.parametrize("name", BOUNDARIES)

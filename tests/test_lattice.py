@@ -507,8 +507,13 @@ class TestHermiteKey:
                 public = Sublattice(r.ambient, r.basis)
                 assert r._hnf is r.basis and public._hnf is public.basis
                 assert public == r and hash(public) == hash(r)
+            # A basis out of HNF is checked once and reduced by _hermite,
+            # with no second check through hermite_normal_form.
+            reversed_rows = Sublattice(results[0].ambient, results[0].basis[::-1])
+            assert reversed_rows._hnf is not reversed_rows.basis
+            assert reversed_rows._hnf == results[0].basis
         # The public constructor checks each basis and finds it in HNF.
-        assert calls == ["check_integers"] * len(results)
+        assert calls == ["check_integers"] * (len(results) + 1)
 
     def test_induced_lattice_is_cached(self, UU):
         s = Sublattice(UU, ((1, 1, 0, 0), (0, 0, 1, -1)))

@@ -7,11 +7,11 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from k3bv import (AdmissibilityError, AdmissiblePair, IntegerLattice, NotInLattice,
-                  SplittingError, Sublattice, check_admissible, construct_mirror,
-                  det_and_signature, direct_sum, hyperbolic_plane, pairing,
-                  same_sublattice)
-from k3bv import matrixops as mo
+from k3bv import (AdmissibilityError, AdmissiblePair, IntegerLattice, MirrorSplit,
+                  NotInLattice, SplittingError, Sublattice, check_admissible,
+                  construct_mirror, det_and_signature, direct_sum, hyperbolic_plane,
+                  pairing, same_sublattice)
+from k3bv import matrixops as mo, mirror
 
 
 class TestCheckAdmissible:
@@ -131,22 +131,49 @@ class TestConstructMirror:
 
 
 class TestSplitCertificate:
-    """Hand-built pairs that skip check_admissible must still fail the
-    index-one certificate."""
+    """A pair certifies itself, so a hand-built bad pair is refused when it
+    is built. The split certificates are reached by handing the catalog
+    split a bad M-check through a patched orthogonal_complement. The
+    determinant identity follows from the other three checks and Gram
+    P = U(m), so no M-check reaches it."""
 
     def test_degenerate_t_index_two(self):
-        # det T = 0, so det(P + M-check) = det T holds trivially, but
-        # |det(E, E', M-check)| = 2.
+        # det T = 0, and E pairs to 1 with the first basis vector of T, so
+        # as a split it would have |det(E, E', M-check)| = 2.
         t = Sublattice.full(IntegerLattice(((2, 1, 1), (1, 0, 1), (1, 1, 0))))
-        pair = AdmissiblePair(t, (0, 1, 0), (1, -1, 1), 2)
-        with pytest.raises(SplittingError, match="index is not 1"):
-            construct_mirror(pair)
+        with pytest.raises(AdmissibilityError, match="^divisibility of E in T is 1"):
+            AdmissiblePair(t, (0, 1, 0), (1, -1, 1), 2)
 
     def test_e_prime_of_divisibility_one(self, UU):
-        # E' pairs to 1 with f2, so T is not ZE + ZE' + P-perp.
-        pair = AdmissiblePair(Sublattice.full(UU), (1, 0, 0, 0), (0, 2, 1, 0), 2)
-        with pytest.raises(SplittingError):
-            construct_mirror(pair)
+        # E pairs to 1 with f1, so its divisibility is 1, not m = 2.
+        with pytest.raises(AdmissibilityError, match="^divisibility of E in T is 1"):
+            AdmissiblePair(Sublattice.full(UU), (1, 0, 0, 0), (0, 2, 1, 0), 2)
+
+    def test_split_is_its_pair(self, k3_split):
+        # A split takes no parts beyond its pair, and the baseline's bad pair
+        # (E, 2E', 1) is refused before any split sees it.
+        _, t, split = k3_split
+        e, ep = split.pair.e, split.pair.e_prime
+        assert MirrorSplit._fields == ("pair",) and MirrorSplit(split.pair) == split
+        assert split.section_class == mo.sub_vec(ep, e)
+        with pytest.raises(TypeError, match="unexpected arguments"):
+            MirrorSplit(split.pair, split.p, split.m_check, split.section_class)
+        with pytest.raises(AdmissibilityError, match="^E.E' = 2, expected m = 1$"):
+            AdmissiblePair(t, e, mo.scale_vec(2, ep), 1)
+
+    @pytest.mark.parametrize("bad, message", [
+        (lambda rows, e: rows[:2] + [e] + rows[3:], "^P and M-check are not orthogonal$"),
+        (lambda rows, e: rows[1:], r"^rank\(P\) \+ rank\(M-check\) != rank\(T\)$"),
+        (lambda rows, e: [mo.scale_vec(2, rows[0])] + rows[1:],
+         r"^splitting index is not 1: \|det\(E, E', M-check\)\| = 2$"),
+    ], ids=["row swapped for E", "row dropped", "row doubled"])
+    def test_bad_m_check_is_refused(self, k3_split, monkeypatch, bad, message):
+        _, t, split = k3_split
+        m_check = Sublattice(t.induced_lattice(),
+                             bad(list(split.m_check.basis), split.pair.e))
+        monkeypatch.setattr(mirror, "orthogonal_complement", lambda p: m_check)
+        with pytest.raises(SplittingError, match=message):
+            construct_mirror(split.pair)
 
 
 def test_rational_coordinates_rejected(UU):
