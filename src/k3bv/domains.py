@@ -160,5 +160,6 @@ def in_primed(point, split: MirrorSplit) -> bool:
     if isinstance(point, PeriodVector):
         if point.lattice != split.t:
             raise K3BVError("period vector must live over the T of the split")
-        return not any(split.split_coordinates(point.cleared[1][0], 2))
+        im = point.cleared[1][0]
+        return not any(mo.mat_vec_pair(split._inverse_columns[:2], im, im)[0])
     raise K3BVError(f"expected TubePoint or PeriodVector, got {type(point).__name__}")

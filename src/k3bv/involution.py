@@ -36,6 +36,8 @@ class LatticeInvolution(Record):
     matrix: Matrix
 
     def __post_init__(self):
+        if not isinstance(self.lattice, IntegerLattice):
+            raise K3BVError("LatticeInvolution lattice must be an IntegerLattice")
         a = mo.freeze(self.matrix)
         object.__setattr__(self, "matrix", a)
         n = self.lattice.rank

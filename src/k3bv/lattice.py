@@ -15,7 +15,7 @@ from functools import cached_property
 from math import gcd
 
 from . import matrixops as mo
-from .errors import DimensionMismatch, NotInLattice
+from .errors import DimensionMismatch, K3BVError, NotInLattice
 from .matrixops import Matrix, Vector
 from .record import Record
 
@@ -78,27 +78,21 @@ class Sublattice(Record):
     basis: Matrix
 
     def __post_init__(self):
+        if not isinstance(self.ambient, IntegerLattice):
+            raise K3BVError("Sublattice ambient must be an IntegerLattice")
         b = mo.freeze(self.basis)
         object.__setattr__(self, "basis", b)
         n = self.ambient.rank
         if any(len(row) != n for row in b):
             raise DimensionMismatch("generator rows must have ambient rank length")
         mo.check_integers("generator entries", *b)
-        # A basis with positive, strictly increasing pivots, entries above
-        # each pivot p in [0, p) and no zero row is in HNF, the key that
-        # same_sublattice compares, and coordinates_in goes pivot by pivot on
-        # it; the scan stops at the first broken rule. Another basis takes the
-        # HNF, whose last row is zero exactly when the rows are dependent.
-        hnf, last = b, -1
-        for i, row in enumerate(b):
-            c = next((j for j, x in enumerate(row) if x), -1)
-            if c <= last or row[c] < 0 or not all(0 <= r[c] < row[c] for r in b[:i]):
-                hnf = mo.freeze(mo._hermite([list(row) for row in b], n))
-                if not any(hnf[-1]):
-                    raise DimensionMismatch("generator rows must be linearly independent over Q")
-                break
-            last = c
-        object.__setattr__(self, "_hnf", hnf)
+        # The HNF is the key that same_sublattice compares; its last row is
+        # zero exactly when the rows are dependent. A basis already in HNF is
+        # kept as its own key, and coordinates_in goes pivot by pivot on it.
+        hnf = mo.freeze(mo._hermite([list(row) for row in b], n))
+        if hnf and not any(hnf[-1]):
+            raise DimensionMismatch("generator rows must be linearly independent over Q")
+        object.__setattr__(self, "_hnf", b if hnf == b else hnf)
 
     @classmethod
     def _from_hnf(cls, ambient: IntegerLattice, basis: Matrix) -> "Sublattice":
@@ -111,6 +105,8 @@ class Sublattice(Record):
 
     @classmethod
     def full(cls, lattice: IntegerLattice) -> "Sublattice":
+        if not isinstance(lattice, IntegerLattice):
+            raise K3BVError("Sublattice.full lattice must be an IntegerLattice")
         return cls._from_hnf(lattice, mo.identity(lattice.rank))
 
     @property

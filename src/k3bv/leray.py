@@ -30,10 +30,12 @@ class SpectralTable(Record):
 
     def __post_init__(self):
         try:
-            cells = [(p, q, dim) for (p, q), (dim, _) in self.entries]
+            entries = tuple(((p, q), (dim, label)) for (p, q), (dim, label) in self.entries)
         except (TypeError, ValueError):
             raise K3BVError("table entries are ((p, q), (dimension, label)) pairs") from None
-        mo.check_integers("table positions and dimensions", *cells)
+        mo.check_integers("table positions and dimensions",
+                          *(pq + (dim,) for pq, (dim, _) in entries))
+        object.__setattr__(self, "entries", entries)
 
     def as_dict(self) -> dict[tuple[int, int], tuple[int, str]]:
         return dict(self.entries)
@@ -164,7 +166,8 @@ class TensorPeriod(Record):
                 and isinstance(c[1], QC) for c in self.components):
             raise K3BVError("components must be (key, coefficient) pairs with keys in "
                             f"{{E, E', m0..m{self.m_rank - 1}}} x {{s_x, s_y}}")
-        object.__setattr__(self, "_coefficients", dict(self.components))
+        self.__dict__.update(components=tuple(self.components),
+                             _coefficients=dict(self.components))
 
     def coefficient(self, label: str, factor: str) -> QC:
         return self._coefficients.get((label, factor), QC(0, 0))

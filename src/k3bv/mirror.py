@@ -14,8 +14,7 @@ from __future__ import annotations
 from functools import cached_property
 
 from . import matrixops as mo
-from .errors import (AdmissibilityError, DimensionMismatch, K3BVError, NotInLattice,
-                     SplittingError)
+from .errors import AdmissibilityError, K3BVError, NotInLattice, SplittingError
 from .lattice import Sublattice, orthogonal_complement
 from .matrixops import Vector
 from .record import Record
@@ -131,13 +130,6 @@ class MirrorSplit(Record):
     def _m_check_columns(self):
         """Nonzeros of the columns of the M-check basis: c -> sum c_i M_i."""
         return mo.nonzeros(mo.transpose(self.m_check.basis) or mo.zeros(self.t.rank, 0))
-
-    def split_coordinates(self, v: Vector, count: int | None = None) -> tuple[int, ...]:
-        """(a, b, c_1, ..., c_r) with v = aE + bE' + sum c_i M_i, for an
-        integer vector v in T coordinates; only the first `count` if given."""
-        if len(v) != self.t.rank:
-            raise DimensionMismatch(f"vector has length {len(v)}, rank T is {self.t.rank}")
-        return tuple(sum(v[k] * x for k, x in col) for col in self._inverse_columns[:count])
 
 
 def check_admissible(t: Sublattice, e: Vector, e_prime: Vector, m: int) -> AdmissiblePair:

@@ -3,15 +3,17 @@ K3BVError: the (N, N') formulas take only a BVData, a census only a
 sequence of FiberRecords, the elliptic factor only a pair (B2, omega2), a
 tensor period only (key, QC coefficient) pairs with keys on
 {E, E', m_0 .. m_{r-1}} x {s_x, s_y} and r an exact int >= 1, and the
-tube point, period and admissible-pair records only a Sublattice, and a
-mirror split only an AdmissiblePair."""
+tube point, period and admissible-pair records only a Sublattice, a
+sublattice and an involution only an IntegerLattice, and a mirror split
+only an AdmissiblePair."""
 
 import pytest
 
 from k3bv import (AdmissiblePair, BVData, FiberCensus, FiberRecord, K3BVError,
-                  KodairaType, MirrorSplit, QC, PeriodVector, SelfMirrorLocus, Sublattice,
-                  TensorPeriod, TubePoint, bv_mirror_period, construct_mirror,
-                  euler_characteristic, hodge_numbers, hyperbolic_plane, mirror_swap)
+                  KodairaType, LatticeInvolution, MirrorSplit, QC, PeriodVector,
+                  SelfMirrorLocus, Sublattice, TensorPeriod, TubePoint, bv_mirror_period,
+                  construct_mirror, euler_characteristic, hodge_numbers, hyperbolic_plane,
+                  mirror_swap)
 
 P1 = TubePoint(Sublattice.full(hyperbolic_plane(1)), (0, 0), (1, 1))
 NON_FIXED = (FiberRecord(KodairaType.I1, False),) * 24  # a valid census for (1, 1)
@@ -36,6 +38,10 @@ CASES = {
     "TensorPeriod non-pair component": lambda: TensorPeriod((5,), 2),
     "TensorPeriod int coefficient": lambda: TensorPeriod(((("E'", "s_x"), 5),), 1),
     "TensorPeriod str coefficient": lambda: TensorPeriod(((("E'", "s_x"), "1"),), 1),
+    "Sublattice int ambient": lambda: Sublattice(5, ((1, 0),)),
+    "Sublattice.full int": lambda: Sublattice.full(5),
+    "LatticeInvolution Sublattice lattice": lambda: LatticeInvolution(
+        Sublattice.full(hyperbolic_plane(1)), ((0, 1), (1, 0))),
     "TubePoint int lattice": lambda: TubePoint(5, (1,), (1,)),
     "PeriodVector None lattice": lambda: PeriodVector(None, (1,), (1,)),
     "AdmissiblePair IntegerLattice t": lambda: AdmissiblePair(

@@ -86,12 +86,32 @@ INTEGER_PLACES = ("check_admissible m", "AdmissiblePair m", "hyperbolic_plane", 
                   "y_betti")
 
 
+# The matrixops kernels that trust their callers to pass exact entries.
+TRUSTING = ("mat_mul", "dot", "add_vec", "scale_vec", "nonzeros", "mat_vec_pair", "_inverse")
+
+
+def _inexact(x) -> bool:
+    """Whether some entry of x, through nested tuples and lists, is not an
+    exact int or Fraction."""
+    if isinstance(x, (tuple, list)):
+        return any(map(_inexact, x))
+    return type(x) not in (int, Fraction)
+
+
 @pytest.mark.parametrize("name", BOUNDARIES)
 @pytest.mark.parametrize("value", [True, 0.5, 2.0, "1", None], ids=repr)
-def test_inexact_value_is_refused(name, value):
+def test_inexact_value_is_refused(name, value, monkeypatch):
+    # Each boundary refuses the value before any trusting kernel sees it.
     call, message = BOUNDARIES[name]
+    seen = []
+    for kernel in TRUSTING:
+        def recording(*args, original=getattr(mo, kernel)):
+            seen.extend(filter(_inexact, args))
+            return original(*args)
+        monkeypatch.setattr(mo, kernel, recording)
     with pytest.raises(DimensionMismatch, match=f"^{message}$"):
         call(value)
+    assert seen == []
 
 
 # name -> a call that passes a non-sequence where rows or a vector go.

@@ -458,10 +458,10 @@ class TestHermiteKey:
         with pytest.raises(DimensionMismatch, match="linearly independent"):
             Sublattice(UU, rows)
 
-    def test_hnf_bases_take_no_hermite_pass(self, K3, monkeypatch):
-        # Handed to the public constructor, the HNF bases that integer_kernel,
-        # saturate and identity return pass its scan as their own keys with
-        # no _hermite call; a basis out of HNF takes one _hermite pass.
+    def test_public_bases_take_one_hermite_pass(self, K3, monkeypatch):
+        # The public constructor takes one _hermite pass on every basis. The
+        # HNF bases that integer_kernel, saturate and identity return are
+        # kept as their own keys; a basis out of HNF is keyed by its HNF.
         m = ((1, 2, 0, 0, -1, 3) + (0,) * 16, (0, 1, 1, 0, 2, 0, -2) + (0,) * 15)
         kernel = mo.integer_kernel(mo.mat_mul(m, K3.gram))
         saturated = mo.saturate(mo.freeze(mo.scale_vec(2, row) for row in m), 22)
@@ -471,9 +471,9 @@ class TestHermiteKey:
         for basis in (kernel, saturated, mo.identity(22)):
             s = Sublattice(K3, basis)
             assert s._hnf is s.basis and s.basis == basis
-        assert calls == []
+        assert calls == [1] * 3
         s = Sublattice(K3, (saturated[1], saturated[0]))
-        assert calls == [1] and s._hnf == saturated
+        assert calls == [1] * 4 and s._hnf == saturated
 
     def test_kernel_basis_takes_the_triangular_path(self, K3, monkeypatch):
         # integer_kernel hands back HNF rows, which orthogonal_complement

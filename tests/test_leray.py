@@ -11,7 +11,7 @@ from k3bv import (IntegerLattice, K3BVError, PeriodVector, QC, Sublattice, TubeP
                   in_period_domain, k3_table, recover_period_inputs,
                   swap_rows, y_betti)
 from k3bv import jsonio
-from k3bv.leray import Filtration, SpectralTable
+from k3bv.leray import Filtration, SpectralTable, TensorPeriod
 
 
 class TestK3Table:
@@ -115,6 +115,18 @@ def test_malformed_shapes_are_domain_errors(call):
         call()
 
 
+def test_records_built_from_lists_equal_those_built_from_tuples():
+    entries = (((0, 0), (1, "Q")), ((1, 1), (20, "H")))
+    components = ((("E'", "s_x"), QC(1, 0)), (("m0", "s_y"), QC(0, 1)))
+    for from_lists, from_tuples in (
+            (SpectralTable([[list(pq), list(cell)] for pq, cell in entries]),
+             SpectralTable(entries)),
+            (TensorPeriod(list(components), 1), TensorPeriod(components, 1))):
+        assert from_lists == from_tuples and hash(from_lists) == hash(from_tuples)
+    assert SpectralTable([[list(pq), list(cell)] for pq, cell in entries]).antidiagonal_sums() \
+        == [1, 0, 20]
+
+
 @pytest.fixture(scope="module")
 def m_u():
     return Sublattice.full(hyperbolic_plane(1))
@@ -174,6 +186,5 @@ class TestBVMirrorPeriod:
             bv_mirror_period(p1, (0, 0))
 
     def test_recovery_needs_anchor(self):
-        from k3bv.leray import TensorPeriod
         with pytest.raises(K3BVError):
             recover_period_inputs(TensorPeriod(((("E", "s_x"), QC(1, 0)),), 2))

@@ -126,12 +126,6 @@ def test_round_trip_clears_each_vector_once(monkeypatch, k3_split):
     assert len(calls) <= 2
 
 
-@pytest.mark.parametrize("length", [5, 25])
-def test_split_coordinates_rejects_a_vector_of_the_wrong_length(k3_split, length):
-    with pytest.raises(DimensionMismatch, match=f"length {length}, rank T is 20"):
-        k3_split[2].split_coordinates((1,) * length)
-
-
 def test_split_views_are_lazy_and_built_once(monkeypatch):
     """construct_mirror builds none of the four nonzero views the mirror map
     reads: the Grams of M-check and of T, the columns of the M-check basis
@@ -238,13 +232,15 @@ def test_skewed_splits_are_not_coordinate_aligned(skewed):
     assert sum(map(abs, split.pair.e)) > 1
 
 
-def test_split_coordinates_invert_the_split_basis(skewed):
+def test_inverse_columns_invert_the_split_basis(skewed):
     split, _ = skewed
     basis = (split.pair.e, split.pair.e_prime) + split.m_check.basis
     n = len(basis)
-    assert tuple(split.split_coordinates(v) for v in basis) == mo.identity(n)
-    coords = tuple(split.split_coordinates(v) for v in mo.identity(n))
-    assert mo.mat_mul(coords, basis) == mo.identity(n)
+    # The columns of the inverse of the split basis, the view phi_inverse reads.
+    coords = tuple(mo.mat_vec_pair(split._inverse_columns, v, v)[0]
+                   for v in basis + mo.identity(n))
+    assert coords[:n] == mo.identity(n)
+    assert mo.mat_mul(coords[n:], basis) == mo.identity(n)
 
 
 rationals = st.fractions(min_value=-6, max_value=6, max_denominator=6)
@@ -365,16 +361,16 @@ def test_record_from_numerators_refuses_a_wrong_length(u2_split, cls, over, mess
 @settings(max_examples=25, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(data=st.data())
-def test_in_primed_reads_the_first_two_split_coordinates(skewed, data):
+def test_in_primed_reads_the_first_two_inverse_columns(skewed, data):
     split, positive = skewed
     n = split.t.rank
     ints = st.lists(st.integers(-9, 9), min_size=n, max_size=n)
     c = data.draw(st.lists(st.integers(-9, 9), min_size=n - 2, max_size=n - 2))
     in_m_check = mo.mat_vec_pair(split._m_check_columns, c, c)[0]
     om = phi(split, data.draw(tube_points(split, positive)))
+    inverse = mo.integer_inverse((split.pair.e, split.pair.e_prime) + split.m_check.basis)
     for im in (tuple(data.draw(ints)), in_m_check, om.cleared[1][0]):
-        assert split.split_coordinates(im, 2) == split.split_coordinates(im)[:2]
-        primed = split.split_coordinates(im)[:2] == (0, 0)
+        primed = mo.vec_mat(im, inverse)[:2] == (0, 0)  # its E and E' coordinates vanish
         assert in_primed(PeriodVector(split.t, tuple(data.draw(ints)), im), split) == primed
-    assert in_primed(om, split) == (split.split_coordinates(om.cleared[1][0])[:2] == (0, 0))
+    assert in_primed(om, split) == (mo.vec_mat(om.cleared[1][0], inverse)[:2] == (0, 0))
     assert in_primed(PeriodVector(split.t, in_m_check, in_m_check), split)
